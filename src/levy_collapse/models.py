@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import ModelError, QuadratureFailure
 
@@ -50,7 +50,13 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _quad(fun, a, b, *, epsabs=1e-13, epsrel=1e-12, limit=200, points=None):
-    """scipy.integrate.quad with failure promotion to QuadratureFailure."""
+    """scipy.integrate.quad with failure promotion to QuadratureFailure.
+
+    Only near-integer Pareto tails need it, so scipy.integrate (most of the
+    package's import time) is imported on first use.
+    """
+    from scipy import integrate
+
     out = integrate.quad(fun, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
                          points=points, full_output=1)
     val, abserr = out[0], out[1]

@@ -334,7 +334,10 @@ def sample_wl_mm1(d: float, gamma: float, mu: float, lam: float,
     """
     z1, z2, _, _ = mm1_roots(d, gamma, mu, lam)
     eta = -z2
-    assert eta <= mu * (1.0 + 1e-12), "W factor is not a probability mixture"
+    if not eta <= mu * (1.0 + 1e-12):
+        raise ModelError(
+            f"W factor is not a probability mixture for d={d}, gamma={gamma}, "
+            f"mu={mu}, lambda={lam} (negative root {z2} beyond the jump pole -mu)")
     n = 1 if size is None else int(size)
     at_zero = rng.random(n) < eta / mu
     w = np.where(at_zero, 0.0, rng.exponential(1.0 / eta, n))

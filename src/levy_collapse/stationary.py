@@ -38,7 +38,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, special
+from scipy import special
 
 from .errors import (DomainError, ModelError, QuadratureFailure,
                      SubordinatorInput)
@@ -160,24 +160,14 @@ def _alpha_root(model: LevyModel, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _quad(fun, a, b, *, weight=None, wvar=None, epsabs=1e-12, epsrel=1e-11,
-          limit=400):
-    out = integrate.quad(fun, a, b, weight=weight, wvar=wvar, epsabs=epsabs,
-                         epsrel=epsrel, limit=limit, full_output=1)
-    val, abserr = out[0], out[1]
-    if len(out) > 3 and abserr > max(1e3 * epsabs, 1e-7 * (abs(val) + 1.0)):
-        raise QuadratureFailure(f"integral on [{a}, {b}] did not converge: {out[3]}")
-    return val
-
-
 @lru_cache(maxsize=64)
 def _jacobi_rule(n: int, expo: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights so that int_0^1 (1-t)^expo u(t) dt = sum W u(T)."""
+    """Nodes/weights so that int_0^1 s^expo u(s) ds = sum W u(S)."""
     x, w = special.roots_jacobi(n, expo, 0.0)
-    return (x + 1.0) / 2.0, w * 2.0 ** (-expo - 1.0)
+    return (1.0 - x) / 2.0, w * 2.0 ** (-expo - 1.0)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     x, w = leggauss(n)
     return (x + 1.0) / 2.0, w / 2.0
@@ -186,6 +176,14 @@ def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=4)
 def _laguerre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return special.roots_laguerre(n)
+
+
+def _poly_no_constant(u: np.ndarray, coef: Sequence[float]) -> np.ndarray:
+    """sum_k coef[k-1] * u^k for k = 1..len(coef), by Horner's rule."""
+    poly = np.zeros_like(u)
+    for c in reversed(coef):
+        poly = u * (c + poly)
+    return poly
 
 
 # beyond this power the endpoint weight is better handled by the exponential
@@ -197,6 +195,19 @@ _EPS = 2.2e-16
 # keeps its truncation below the direct formulas' cancellation noise)
 _SERIES_MAX = 8
 
+# (alpha x node) products per block of a batched transform evaluation;
+# bounds the temporaries whatever the number of alphas
+_CHUNK = 1 << 15
+
+# E f(scale U): Gauss nodes per piece tried in turn, the agreement two
+# consecutive rungs must reach, and the number of dyadic halvings below the
+# root. The grading stops there because every alpha below the innermost
+# mesh edge of a heavy-tailed model costs a 64-point remainder integral of
+# its own, each point a quadrature for near-integer Pareto tails
+_COLLAPSE_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128)
+_COLLAPSE_TOL = 1e-12
+_COLLAPSE_HALVINGS = 10
+
 
 # ---------------------------------------------------------------------------
 # stationary solution
@@ -207,9 +218,13 @@ class StationarySolution:
     """Everything the stationary law exposes for one (model, lam, theta).
 
     Construction performs all expensive work (root, Chebyshev antiderivatives
-    of the regular exponent remainders, Gauss-Jacobi rules, normalizer b,
-    atom). Instances are immutable afterwards, so sharing across threads is
-    safe; module-level helpers cache them per parameter triple.
+    of the regular exponent remainders, Gauss rules, normalizer b, atom).
+    Afterwards an instance only writes to two memos, `_efu_cache` (collapse
+    averages) and `_inner_cache` (innermost remainder integrals of heavy-tailed
+    models). Both are write-once maps of deterministic values, so a thread
+    that races another at worst recomputes an entry and sharing instances
+    across threads is safe; module-level helpers cache them per parameter
+    triple.
     """
 
     def __init__(self, model: LevyModel, lam: float, theta: float = 1.0):
@@ -271,11 +286,15 @@ class StationarySolution:
         self._check_root_series()
 
         # small negative margin so central differences at zero stay inside;
-        # only for models whose transforms extend analytically below zero
+        # only for models whose transforms extend analytically below zero.
+        # The remainder has a pole at the negative root of phi = lam; phi is
+        # convex with phi(0) = 0, so phi(lo) <= lam/2 keeps the margin clear
         analytic_at_zero = model.min_alpha() < 0
         lo = 0.0
         if analytic_at_zero:
             lo = max(0.25 * model.min_alpha(), -(2.5e-4 + 2e-3 * A))
+            while model.phi(lo) > 0.5 * lam:
+                lo *= 0.5
         self._lo = lo
         self._split = 0.5 * A
         self._band_lo_x = A - self._w
@@ -292,14 +311,12 @@ class StationarySolution:
         outer = self._build_cheb(self._rho_above, self._vw, 1.0, "outer remainder",
                                  degrees=(64, 128, 256, 512), rtol=rtol_direct)
         self._Qc = outer.integ(lbnd=self._vw)
-        self._Q_bandhi = self._Q_band(A + self._w)
-        # beyond _POWER_GAUSS_MAX the (1-t)^(theta K) weight is too stiff for
-        # a Jacobi rule; the exponential substitution takes over
-        self._use_laguerre = self._tK > _POWER_GAUSS_MAX
-        self._gj_T, self._gj_W = self._pick_tail_rule()
+        self._Q_bandhi = float(self._Q(np.array([A + self._w]))[0])
+        self._tail_s, self._tail_w = self._pick_tail_rule()
         self._efu_cache = {}
 
-        gA = A * self._tail_ratio(0.0)
+        gA = A * float(self._below_integral(np.array([0.0]), self._tail_s,
+                                            self._tail_w)[0])
         if not (gA > 0 and math.isfinite(gA)):
             raise QuadratureFailure("normalizing integral did not evaluate")
         self._gA = gA
@@ -380,9 +397,10 @@ class StationarySolution:
             idx = np.clip(np.searchsorted(self._left_edges, xr, side="right") - 1,
                           0, len(self._left_anti) - 1)
             vals = np.empty_like(xr)
-            for j in np.unique(idx):
+            for j in range(len(self._left_anti)):
                 sel = idx == j
-                vals[sel] = self._left_offsets[j] + self._left_anti[j](xr[sel])
+                if sel.any():
+                    vals[sel] = self._left_offsets[j] + self._left_anti[j](xr[sel])
             out[rest] = vals
         return out
 
@@ -415,23 +433,6 @@ class StationarySolution:
                     "root expansion of the remainder disagrees with the "
                     f"direct formula at distance {u:.3e} from the root "
                     f"({diff:.3e} > {gate:.3e})")
-
-    def _R_band(self, xs: np.ndarray) -> np.ndarray:
-        """Antiderivative on (A-w, A]: closed-form integral of the expansion."""
-        A = self.alpha_lambda
-        u = A - xs
-        poly = np.zeros_like(u)
-        for c in reversed(self._band_coef):
-            poly = u * (c + poly)
-        return self._R_bandlo + self.K * (self._band_cw - poly) + np.log((A - self._w) / xs)
-
-    def _Q_band(self, x: float) -> float:
-        """int_A^x of the outer remainder for x in [A, A+w], closed form."""
-        u = x - self.alpha_lambda
-        poly = 0.0
-        for c in reversed(self._qband_coef):
-            poly = u * (c + poly)
-        return self.K * (math.log(x / self.alpha_lambda) + poly)
 
     def _rho_above(self, v: float) -> float:
         """Regular outer remainder mapped via y = A/(1-v), for v in [vw, 1].
@@ -478,50 +479,133 @@ class StationarySolution:
         if mid.any():
             out[mid] = self._R_offset_mid + self._R_mid(xs[mid])
         if band.any():
-            out[band] = self._R_band(xs[band])
+            # closed-form integral of the root expansion on (A-w, A]
+            A, xb = self.alpha_lambda, xs[band]
+            out[band] = (self._R_bandlo + np.log((A - self._w) / xb) + self.K * (
+                self._band_cw - _poly_no_constant(A - xb, self._band_coef)))
         return out
 
-    def _R_at(self, x: float) -> float:
-        return float(self._R(np.array([x]))[0])
+    def _Q(self, xs: np.ndarray) -> np.ndarray:
+        """int_A^x of the outer remainder for x >= A: closed-form integral of
+        the root expansion in [A, A+w], Chebyshev antiderivative beyond."""
+        A = self.alpha_lambda
+        out = np.empty_like(xs)
+        band = xs <= A + self._w
+        if band.any():
+            xb = xs[band]
+            out[band] = self.K * (np.log(xb / A)
+                                  + _poly_no_constant(xb - A, self._qband_coef))
+        if not band.all():
+            out[~band] = self._Q_bandhi + self._Qc(1.0 - A / xs[~band])
+        return out
+
+    # -- fixed-rule transform evaluation --------------------------------------
+
+    def _tail_rule(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """n-point rule for int_0^1 s^(theta K) u(s) ds; beyond
+        _POWER_GAUSS_MAX the weight is too stiff for a Jacobi rule and
+        s = exp(-v/(1+theta K)) turns it into a Gauss-Laguerre one."""
+        if self._tK > _POWER_GAUSS_MAX:
+            T, W = _laguerre_rule(n)
+            r = 1.0 + self._tK
+            return np.exp(-T / r), W / r
+        return _jacobi_rule(n, self._tK)
 
     def _pick_tail_rule(self) -> Tuple[np.ndarray, np.ndarray]:
         # the 0.004*A probe exposes the weak endpoint kink that heavy-tailed
-        # jump transforms put at zero; analytic models settle two rungs early
+        # jump transforms put at zero, the 2*A probe the integral above the
+        # root; analytic models settle two rungs early
         A = self.alpha_lambda
-        probes = (0.004 * A, 0.11 * A, 0.52 * A, 0.9 * A)
-        ladder = (64, 96, 128) if self._use_laguerre else (96, 192, 384, 768)
-        rule = _laguerre_rule if self._use_laguerre else (
-            lambda n: _jacobi_rule(n, self._tK))
+        below = np.array([0.004, 0.11, 0.52, 0.9]) * A
+        above = np.array([2.0 * A])
+        ladder = (64, 96, 128) if self._tK > _POWER_GAUSS_MAX else (96, 192, 384, 768)
         prev = None
         for n in ladder:
-            T, W = rule(n)
-            vals = [self._ratio_with(a, T, W) for a in probes]
-            if prev is not None and all(
-                    abs(v - pv) <= 4e-12 * (abs(v) + 1.0) for v, pv in zip(vals, prev)):
-                return T, W
+            S, W = self._tail_rule(n)
+            vals = np.concatenate([self._below_integral(below, S, W),
+                                   self._above_integral(above, S, W)])
+            if prev is not None and np.all(np.abs(vals - prev) <= 4e-12 * (np.abs(vals) + 1.0)):
+                return S, W
             prev = vals
         raise QuadratureFailure("endpoint-weighted quadrature did not stabilize")
 
-    def _ratio_with(self, alpha: float, T: np.ndarray, W: np.ndarray) -> float:
-        """int_0^1 (1-t)^(theta K) exp(-theta (R(x)-R(alpha))) dt at
-        x = alpha + (root-alpha) t; bounded by 1/(1+theta K) for any alpha."""
+    def _below_integral(self, alphas: np.ndarray, S: np.ndarray,
+                        W: np.ndarray) -> np.ndarray:
+        """int_0^1 s^(theta K) exp(-theta (R(x)-R(alpha))) ds at
+        x = A - (A-alpha) s for each alpha below the root; bounded by
+        1/(1+theta K)."""
+        A = self.alpha_lambda
+        xs = A - (A - alphas)[:, None] * S
+        R = self._R(np.concatenate([xs.ravel(), alphas]))
+        expo = R[:xs.size].reshape(xs.shape) - R[xs.size:, None]
+        return (np.exp(-self.theta * expo) * W).sum(axis=1)
+
+    def _above_integral(self, alphas: np.ndarray, S: np.ndarray,
+                        W: np.ndarray) -> np.ndarray:
+        """int_0^1 s^(theta K) (x/alpha)^(theta(1-K))
+        exp(-theta (Q(alpha)-Q(x))) ds at x = A + (alpha-A) s for each alpha
+        above the root; rescaled to s so the weight never overflows."""
         A, th = self.alpha_lambda, self.theta
-        if self._use_laguerre:
-            r = 1.0 + self._tK
-            xs = A - (A - alpha) * np.exp(-T / r)
-            expo = self._R(xs) - self._R_at(alpha)
-            return float(W @ np.exp(-th * expo)) / r
-        xs = alpha + (A - alpha) * T
-        expo = self._R(xs) - self._R_at(alpha)
-        return float(W @ np.exp(-th * expo))
+        xs = A + (alphas - A)[:, None] * S
+        Q = self._Q(np.concatenate([xs.ravel(), alphas]))
+        dq = Q[xs.size:, None] - Q[:xs.size].reshape(xs.shape)
+        vals = (xs / alphas[:, None]) ** (th * (1.0 - self.K)) * np.exp(-th * dq)
+        return (vals * W).sum(axis=1)
 
-    def _tail_ratio(self, alpha: float) -> float:
-        return self._ratio_with(alpha, self._gj_T, self._gj_W)
+    def _lst_many(self, alphas: np.ndarray) -> np.ndarray:
+        """Stationary transform at every alpha of a 1-d array (alpha at or
+        above the margin): b (A-alpha) / (1 - phi(alpha)/lam) times the
+        endpoint-weighted integral of its branch, in (alpha x node) blocks of
+        about _CHUNK products."""
+        m, lam, A = self.model, self.lam, self.alpha_lambda
+        S, W = self._tail_s, self._tail_w
+        out = np.empty_like(alphas)
+        at = np.abs(alphas - A) <= _AT_ROOT_RTOL * A
+        out[at] = self.b / (self.theta / A + self.phi_prime_root / lam)
+        rows = max(1, _CHUNK // len(S))
+        for mask, integral in ((~at & (alphas < A) & (alphas != 0.0), self._below_integral),
+                               (~at & (alphas > A), self._above_integral)):
+            idx = np.flatnonzero(mask)
+            for i in range(0, len(idx), rows):
+                sel = idx[i:i + rows]
+                a = alphas[sel]
+                one_minus = 1.0 - np.array([m.phi(float(x)) for x in a]) / lam
+                out[sel] = self.b * (A - a) / one_minus * integral(a, S, W)
+        out[alphas == 0.0] = 1.0
+        return out
 
-    def _Q(self, x: float) -> float:
-        if x <= self.alpha_lambda + self._w:
-            return self._Q_band(x)
-        return self._Q_bandhi + float(self._Qc(1.0 - self.alpha_lambda / x))
+    def _collapse_rule(self, scale: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Composite n-point-per-piece rule for int_0^1 theta t^(theta-1) u(t) dt.
+
+        The cuts sit at t = (root/scale) 2^k, so no piece straddles the
+        branch switch at the root, and grade down toward zero, where heavy-
+        tailed transforms have their alpha^delta kink and nearby negative
+        poles limit the convergence of a single piece. The innermost piece
+        [0, c] carries the weight's singularity: a Gauss-Jacobi rule for
+        t^(theta-1) when theta >= 1, the substitution v = t^theta below that
+        (Jacobi rules lose digits as their exponent approaches -1).
+        """
+        th = self.theta
+        top = 1.0 if scale <= self.alpha_lambda else self.alpha_lambda / scale
+        edges = list(top * 2.0 ** -np.arange(_COLLAPSE_HALVINGS, -1, -1.0))
+        cut = 2.0 * top
+        while cut < 1.0:
+            edges.append(cut)
+            cut *= 2.0
+        if top < 1.0:
+            edges.append(1.0)
+        a = np.array(edges[:-1])
+        width = np.diff(edges)
+        T, W = _legendre_rule(n)
+        t = a[:, None] + width[:, None] * T
+        w = width[:, None] * W * th * t ** (th - 1.0)
+        c = edges[0]
+        if th >= 1.0:
+            s0, w0 = _jacobi_rule(n, th - 1.0)
+            t0, w0 = c * s0, th * c**th * w0
+        else:
+            t0, w0 = c * T ** (1.0 / th), c**th * W
+        return np.concatenate([t0, t.ravel()]), np.concatenate([w0, w.ravel()])
 
     # -- public surface -------------------------------------------------------
 
@@ -537,33 +621,9 @@ class StationarySolution:
         Slightly negative alpha (within the analytic margin of the model) is
         accepted so derivative diagnostics can difference across zero.
         """
-        m, lam, th, A = self.model, self.lam, self.theta, self.alpha_lambda
         if alpha < self._lo:
             raise DomainError(f"alpha = {alpha} below the analytic margin {self._lo}")
-        if alpha == 0.0:
-            return 1.0
-        tag = self.branch(alpha)
-        if tag == "at":
-            return self.b / (th / A + self.phi_prime_root / lam)
-        if tag == "below":
-            one_minus = 1.0 - m.phi(alpha) / lam
-            return self.b / one_minus * (A - alpha) * self._tail_ratio(alpha)
-        fac = m.phi(alpha) / lam - 1.0
-        Qa = self._Q(alpha)
-        pw = th * (1.0 - self.K)
-
-        # rescaled to s in [0, 1] so the s^(theta K) weight never overflows
-        def fun(s):
-            x = A + (alpha - A) * s
-            return (x / alpha) ** pw * math.exp(-th * (Qa - self._Q(x)))
-
-        if self._use_laguerre:
-            r = 1.0 + self._tK
-            T, W = self._gj_T, self._gj_W
-            val = float(W @ np.array([fun(math.exp(-u / r)) for u in T])) / r
-        else:
-            val = _quad(fun, 0.0, 1.0, weight="alg", wvar=(self._tK, 0.0))
-        return self.b / fac * (alpha - A) * val
+        return float(self._lst_many(np.array([alpha], dtype=float))[0])
 
     def g(self, alpha: float) -> float:
         """Normalizing primitive g on [0, root]; g(root) = 1/b."""
@@ -571,20 +631,23 @@ class StationarySolution:
         if alpha < 0 or alpha > A * (1.0 + 1e-12):
             raise DomainError("g is defined on [0, alpha_lambda]")
         alpha = min(alpha, A)
+        R0, Ra = self._R(np.array([0.0, alpha]))
         if alpha <= 0.6 * A:
             T, W = _legendre_rule(256)
             xs = alpha * T
-            vals = ((A - xs) / A) ** self._tK * np.exp(
-                -self.theta * (self._R(xs) - self._R_at(0.0)))
+            vals = ((A - xs) / A) ** self._tK * np.exp(-self.theta * (self._R(xs) - R0))
             return alpha * float(W @ vals)
         scale = ((A - alpha) / A) ** self._tK * (A - alpha) * math.exp(
-            -self.theta * (self._R_at(alpha) - self._R_at(0.0)))
-        return self._gA - scale * self._tail_ratio(alpha)
+            -self.theta * (Ra - R0))
+        tail = self._below_integral(np.array([alpha]), self._tail_s, self._tail_w)
+        return self._gA - scale * float(tail[0])
 
     def mean_lst_collapsed(self, scale: float) -> float:
         """E f(scale * U) for the Beta(theta, 1) multiplier U."""
         if scale == 0.0:
             return 1.0
+        if scale < self._lo:
+            raise DomainError(f"scale = {scale} below the analytic margin {self._lo}")
         key = float(scale)
         hit = self._efu_cache.get(key)
         if hit is None:
@@ -593,15 +656,26 @@ class StationarySolution:
                 # t^(theta-1) mass sits within O(1/theta) of 1; substituting
                 # t = exp(-u/theta) gives a plain exp(-u) weight
                 T, W = _laguerre_rule(96)
-                vals = np.array([self.lst(scale * math.exp(-u / th)) for u in T])
-                hit = float(W @ vals)
+                hit = float(W @ self._lst_many(key * np.exp(-T / th)))
             else:
-                hit = th * _quad(lambda t: self.lst(scale * t), 0.0, 1.0,
-                                 weight="alg", wvar=(th - 1.0, 0.0),
-                                 epsabs=1e-11, epsrel=1e-10)
+                hit = self._collapse_ladder(key)
             if len(self._efu_cache) < 4096:
                 self._efu_cache[key] = hit
         return hit
+
+    def _collapse_ladder(self, scale: float) -> float:
+        """The composite rule at growing node counts until two consecutive
+        sums agree to _COLLAPSE_TOL; the finer one is returned."""
+        prev = None
+        for n in _COLLAPSE_LADDER:
+            t, w = self._collapse_rule(scale, n)
+            val = float(w @ self._lst_many(scale * t))
+            if prev is not None and abs(val - prev) <= _COLLAPSE_TOL:
+                return val
+            prev = val
+        raise QuadratureFailure(
+            f"E f({scale:.6g} U) did not converge: {self.model!r}, "
+            f"lambda={self.lam:.6g}, theta={self.theta:.6g}")
 
     def moments(self, n_max: int) -> list:
         """Stationary moments m_0..m_n from the cumulant recursion.
@@ -643,7 +717,7 @@ class StationarySolution:
             raise DomainError("alpha grid must be strictly increasing")
         if alphas[0] < 0:
             raise DomainError("alpha grid must be nonnegative")
-        values = tuple(self.lst(a) for a in alphas)
+        values = tuple(float(v) for v in self._lst_many(np.array(alphas)))
         tags = tuple(self.branch(a) for a in alphas)
         for a, v in zip(alphas, values):
             if not (-1e-9 <= v <= 1.0 + 1e-9):

@@ -7,10 +7,14 @@ are exact.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import levy_collapse
 from levy_collapse import (
     BrownianDrift,
     ChainState,
@@ -168,6 +172,23 @@ def test_exponential_jump_mixture_is_always_proper():
     for _ in range(25):
         sample_wl_mm1(rng.uniform(0.5, 2.5), rng.uniform(0.2, 2.0),
                       rng.uniform(0.5, 4.0), rng.uniform(0.3, 3.0), rng, 100)
+
+
+def test_exponential_jump_mixture_guard_survives_optimized_mode():
+    # (lam+gamma)/d far below mu makes the root formula cancel, so the
+    # computed atom weight eta/mu exceeds one; the guard must hold under -O
+    src = os.path.dirname(os.path.dirname(os.path.abspath(levy_collapse.__file__)))
+    code = ("import numpy as np\n"
+            "from levy_collapse import ModelError, sample_wl_mm1\n"
+            "try:\n"
+            "    sample_wl_mm1(1.0, 1.0, 1e7, 1e-7, np.random.default_rng(1))\n"
+            "except ModelError as exc:\n"
+            "    print('ModelError', exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.startswith("ModelError")
+    for name in ("d=1.0", "gamma=1.0", "mu=10000000.0", "lambda=1e-07"):
+        assert name in out.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,13 @@ by the fixed-point residual asserted at the same points.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from levy_collapse import (
     Beta1,
@@ -20,6 +24,7 @@ from levy_collapse import (
     Exponential,
     ModelError,
     Pareto,
+    QuadratureFailure,
     SubordinatorInput,
     Sum,
     atom_at_zero,
@@ -44,6 +49,7 @@ from levy_collapse import (
     w_tau_lst,
     wx_joint_lst,
 )
+from levy_collapse import stationary
 
 import reference_values as ref
 
@@ -53,6 +59,7 @@ ERLANG = CppMinusDrift(1.3, 0.9, Erlang(2, 3.0))
 DETERM = CppMinusDrift(1.0, 0.7, Deterministic(1.2))
 MIXTURE = Sum((BrownianDrift(0.3, 1.5), CppMinusDrift(0.2, 0.7, Exponential(1.1))))
 PARETO15 = CppMinusDrift(1.0, 0.8, Pareto(1.5, 1.0 / 3.0))
+PARETO20 = CppMinusDrift(1.0, 0.8, Pareto(2.0, 1.0 / 3.0))
 
 # (model, lam, theta) triples exercised by the cross-cutting invariants
 CASES = (
@@ -544,3 +551,87 @@ def test_transform_grid_validation():
 
 def test_solution_cache_returns_same_object():
     assert stationary_solution(BM, 1.0) is stationary_solution(BM, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# fixed-rule quadrature: batched evaluator and collapse averages
+# ---------------------------------------------------------------------------
+
+
+def test_batched_transform_equals_scalar_on_every_branch():
+    for model, lam, theta in CASES + ((MM1, 1.0, 300.0),):
+        sol = stationary_solution(model, lam, theta)
+        a = sol.alpha_lambda
+        alphas = [0.0, 1e-7 * a, 0.3 * a, 0.97 * a, a, a * (1.0 + 1e-10),
+                  1.02 * a, 1.7 * a, 40.0 * a]
+        if sol._lo < 0.0:  # negative margin of analytic models
+            alphas = [sol._lo, 0.5 * sol._lo] + alphas
+        batch = sol._lst_many(np.array(alphas))
+        assert [sol.branch(x) for x in alphas[-6:]] == [
+            "below", "at", "at", "above", "above", "above"]
+        for x, v in zip(alphas, batch):
+            assert v == sol.lst(x)
+    # more rows than one block of (alpha x node) products holds
+    sol = stationary_solution(MM1, 1.0)
+    rows = stationary._CHUNK // len(sol._tail_s)
+    alphas = np.linspace(sol._lo, 3.0 * sol.alpha_lambda, 2 * rows + 7)
+    batch = sol._lst_many(alphas)
+    assert all(v == sol.lst(x) for x, v in zip(alphas, batch))
+
+
+def _collapse_average_reference(sol, scale):
+    """E f(scale U) by adaptive quadrature over scalar transform calls,
+    split at the root; the substitution t = exp(-u/theta) for theta > 150."""
+    th = sol.theta
+
+    def f(t):
+        return sol.lst(scale * t)
+
+    opts = dict(epsabs=1e-14, epsrel=1e-13, limit=500)
+    if th > 150.0:
+        return integrate.quad(lambda u: f(math.exp(-u / th)) * math.exp(-u),
+                              0.0, math.inf, **opts)[0]
+    cut = min(1.0, sol.alpha_lambda / scale)
+    val = integrate.quad(f, 0.0, cut, weight="alg", wvar=(th - 1.0, 0.0), **opts)[0]
+    if cut < 1.0:
+        val += integrate.quad(lambda t: f(t) * t ** (th - 1.0), cut, 1.0, **opts)[0]
+    return th * val
+
+
+@pytest.mark.parametrize("theta", (0.03, 0.3, 1.0, 5.0, 140.0, 300.0))
+def test_collapse_average_matches_adaptive_reference(theta):
+    for model in (BM, MM1, PARETO15, PARETO20):
+        sol = stationary_solution(model, 1.0, theta)
+        scale = 1.5 * sol.alpha_lambda  # integrates across the root
+        assert sol.mean_lst_collapsed(scale) == pytest.approx(
+            _collapse_average_reference(sol, scale), abs=1e-11)
+
+
+def test_collapse_ladder_failure_names_the_model(monkeypatch):
+    monkeypatch.setattr(stationary, "_COLLAPSE_TOL", -1.0)  # never settles
+    sol = stationary.StationarySolution(MM1, 0.7, 1.3)
+    with pytest.raises(QuadratureFailure) as err:
+        sol.mean_lst_collapsed(sol.alpha_lambda)
+    msg = str(err.value)
+    assert repr(MM1) in msg and "lambda=0.7" in msg and "theta=1.3" in msg
+
+
+def test_negative_margin_stays_clear_of_the_pole():
+    # strong upward drift and small lam: the default margin reached past the
+    # negative root of phi = lam, where the remainder has a pole
+    model = BrownianDrift(1.6465189714504895, 0.23146317365805935)
+    lam, theta = 0.03596, 4.745
+    sol = stationary_solution(model, lam, theta)
+    assert sol._lo < 0.0
+    assert laplace_exponent(model, sol._lo) <= 0.5 * lam
+    alpha = 1.5 * sol.alpha_lambda
+    assert fixed_point_residual(model, lam, theta, alpha) <= 1e-12
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only the near-integer Pareto fallback needs scipy.integrate, on first use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stationary.__file__)))
+    code = "import sys, levy_collapse; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"

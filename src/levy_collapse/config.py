@@ -23,11 +23,10 @@ from .models import (
     Sum,
     collapse_from_theta,
 )
+from .simulate import _EPS_TRUNC, _RESERVOIR_CAP
 
 _ENGINES = ("embedded", "loynes", "path")
 _DEFAULT_BURN = 1_000
-_DEFAULT_EPS_TRUNC = 1e-12
-_DEFAULT_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -45,8 +44,8 @@ class RunConfig:
     n_burn: int = _DEFAULT_BURN
     step_h: Optional[float] = None
     horizon: Optional[float] = None
-    eps_trunc: float = _DEFAULT_EPS_TRUNC
-    reservoir_cap: int = _DEFAULT_CAP
+    eps_trunc: float = _EPS_TRUNC
+    reservoir_cap: int = _RESERVOIR_CAP
     z0: float = 0.0
     master_seed: Optional[int] = None
     out_dir: str = "out"
@@ -261,8 +260,8 @@ def parse_config(text: str) -> RunConfig:
     n_burn = f.int_("n_burn", _DEFAULT_BURN)
     step_h = f.float_("step_h")
     horizon = f.float_("horizon")
-    eps_trunc = f.float_("eps_trunc", _DEFAULT_EPS_TRUNC)
-    reservoir_cap = f.int_("reservoir_cap", _DEFAULT_CAP)
+    eps_trunc = f.float_("eps_trunc", _EPS_TRUNC)
+    reservoir_cap = f.int_("reservoir_cap", _RESERVOIR_CAP)
     z0 = f.float_("z0", 0.0)
     master_seed = f.int_("master_seed")
     out_dir = f.str_("out", "out")

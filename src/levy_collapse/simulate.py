@@ -38,7 +38,6 @@ from .stationary import bm_roots, mm1_roots
 _BLOCK = 1 << 16
 _RESERVOIR_CAP = 100_000
 _EPS_TRUNC = 1e-12
-_BURN_DEFAULT = 1_000
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -370,11 +369,61 @@ def _exact_wl(model: LevyModel, lam: float) -> Callable:
 # ---------------------------------------------------------------------------
 
 
+def _fold(a: np.ndarray, b: np.ndarray, c: np.ndarray, z0: float) -> np.ndarray:
+    """Levels z_k = max(a_k z_{k-1} + b_k, c_k), k = 1..n, from z_0 = z0.
+
+    Needs a >= 0 and finite b, c: the maps are then increasing and closed
+    under composition, (a2, b2, c2) o (a1, b1, c1) =
+    (a2 a1, a2 b1 + b2, max(a2 c1 + b2, c2)). Blocked scan: the maps fill
+    rows of w columns (w up to 64, about sqrt(n/16)); each row's maps are
+    composed column by column, one scalar pass carries the level across the
+    row maps, and a sweep over the columns applies every row's maps in
+    order from the row's start level. Only the start levels carry the
+    composition's rounding, and w = 1 is the plain recursion.
+    """
+    n = a.size
+    w = max(1, min(64, math.isqrt(n // 16)))
+    rows = -(-n // w)
+
+    def grid(x, fill):
+        g = np.full(rows * w, fill)
+        g[:n] = x
+        return np.ascontiguousarray(g.reshape(rows, w).T)
+
+    a2, b2, c2 = grid(a, 1.0), grid(b, 0.0), grid(c, 0.0)
+    A, B, C = a2[0].copy(), b2[0].copy(), c2[0].copy()
+    for j in range(1, w):
+        aj = a2[j]
+        np.multiply(aj, C, out=C)
+        C += b2[j]
+        np.maximum(C, c2[j], out=C)
+        np.multiply(aj, B, out=B)
+        B += b2[j]
+        A *= aj
+    start = []
+    z = float(z0)
+    for ar, br, cr in zip(A.tolist(), B.tolist(), C.tolist()):
+        start.append(z)
+        z = ar * z + br
+        if z < cr:
+            z = cr
+    out = np.empty((w, rows))
+    z = np.asarray(start)
+    for j in range(w):
+        np.multiply(a2[j], z, out=out[j])
+        out[j] += b2[j]
+        z = np.maximum(out[j], c2[j], out=out[j])
+    return out.T.reshape(-1)[:n]
+
+
 def embedded_chain_run(model: LevyModel, lam: float, collapse: CollapseLaw,
                        n_burn: int, n_samples: int, rng: np.random.Generator, *,
                        alphas=(), thresholds=(),
                        reservoir_cap: int = _RESERVOIR_CAP) -> SamplePool:
-    """Exact pre-collapse chain from a cold start, pooling post-burn levels."""
+    """Exact pre-collapse chain from a cold start, pooling post-burn levels.
+
+    Each block of draws is one fold of the maps z -> max(U z + V - Y, V).
+    """
     n_burn, n_samples = int(n_burn), int(n_samples)
     if n_burn < 0 or n_samples <= 0:
         raise DomainError("need n_burn >= 0 and n_samples > 0")
@@ -387,16 +436,12 @@ def embedded_chain_run(model: LevyModel, lam: float, collapse: CollapseLaw,
         m = min(_BLOCK, total - done)
         w, l = draw(rng, m)
         u = collapse.sample(rng, m)
-        out = []
-        append = out.append
-        for v, uu, yy in zip(w.tolist(), u.tolist(), l.tolist()):
-            hold = z * uu - yy
-            z = v + (hold if hold > 0.0 else 0.0)
-            append(z)
+        levels = _fold(u, w - l, w, z)
+        z = float(levels[-1])
         keep = n_burn - done  # first index to keep within this block
         done += m
         if keep < m:
-            pool.add(np.asarray(out[max(keep, 0):]), rng)
+            pool.add(levels[max(keep, 0):], rng)
     return pool
 
 
@@ -463,23 +508,33 @@ def loynes_run(model: LevyModel, lam: float, collapse: CollapseLaw,
 
 
 class _Stream:
-    """Scalar draws prefetched in fixed-size blocks from one generator."""
+    """Draws of one kind prefetched in blocks of _BLOCK from one generator.
 
-    __slots__ = ("_rng", "_fn", "_buf", "_i")
+    The Euler loop takes one draw at a time; the exact engine reads the
+    block `buf[i:]` directly and advances `i` itself.
+    """
+
+    __slots__ = ("_rng", "_fn", "buf", "i")
 
     def __init__(self, rng, fn):
         self._rng = rng
         self._fn = fn
-        self._buf = []
-        self._i = 0
+        self.buf = np.empty(0)
+        self.i = 0
+
+    def left(self) -> int:
+        return self.buf.size - self.i
+
+    def fill(self) -> None:
+        """Draw the next block once the current one is used up."""
+        if self.i == self.buf.size:
+            self.buf = self._fn(self._rng, _BLOCK)
+            self.i = 0
 
     def take(self) -> float:
-        if self._i == len(self._buf):
-            self._buf = self._fn(self._rng, _BLOCK).tolist()
-            self._i = 0
-        v = self._buf[self._i]
-        self._i += 1
-        return v
+        self.fill()
+        self.i += 1
+        return float(self.buf[self.i - 1])
 
 
 def _event_streams(model, lam, collapse, rng):
@@ -502,6 +557,212 @@ def _take_jump(pick, sizes, cuts) -> float:
     return sizes[min(i, len(sizes) - 1)].take()
 
 
+class _EventBatches:
+    """Event epochs of a model without a Brownian part, read in batches.
+
+    Each event is a map z -> max(a z + b, c) of the level just after the
+    previous event: drain for dt at the drift rate, clamped at zero, then
+    either a jump B, (1, drift dt + B, B), or a collapse U,
+    (U, U drift dt, 0). The draws come from the same streams, in the same
+    calls, sizes and order as taking one event at a time: a batch holds
+    every event whose draws already sit in the prefetched blocks (at most
+    _BLOCK events), and only its front event refills blocks, in the order
+    pick, size, jump clock or multiplier, collapse clock. The multiplier
+    block runs out at every _BLOCK-th collapse, so a batch ends there and a
+    caller flushing its reservoir after it draws the keys where stepping
+    one event at a time would.
+    """
+
+    def __init__(self, model, lam, collapse, rng):
+        (self._ecol, self._ejmp, self._pick, self._sizes, self._cuts,
+         self._umult) = _event_streams(model, lam, collapse, rng)
+        self._drift = model.drift_rate()
+        self.t = 0.0
+        self.n_collapses = 0
+        self.next_col = self.t + self._ecol.take() if self._ecol else math.inf
+        self.next_jmp = self.t + self._ejmp.take() if self._ejmp else math.inf
+
+    def _parts(self, p):
+        return np.minimum(np.searchsorted(self._cuts, p, side="right"),
+                          len(self._sizes) - 1)
+
+    def _fill_front(self) -> None:
+        if self.next_jmp <= self.next_col:
+            pick = self._pick
+            if pick is None:
+                self._sizes[0].fill()
+            else:
+                pick.fill()
+                self._sizes[int(self._parts(pick.buf[pick.i]))].fill()
+            self._ejmp.fill()
+        else:
+            self._umult.fill()
+            self._ecol.fill()
+
+    def batches(self, horizon: Optional[float], n_collapses: Optional[int]):
+        """Yield (dt, col, a, b, c) for each batch of events before horizon
+        and up to the n_collapses-th collapse; col marks the collapses."""
+        stop = math.inf if horizon is None else horizon
+        last = math.inf if n_collapses is None else n_collapses
+        ecol, ejmp, pick, sizes, umult = (self._ecol, self._ejmp, self._pick,
+                                          self._sizes, self._umult)
+        while self.n_collapses < last and min(self.next_col, self.next_jmp) < stop:
+            self._fill_front()
+            # jump k needs pick k, its part's next size and jump clock k; the
+            # first jump short of one is the first that cannot run
+            nj, part = 0, np.zeros(0, dtype=np.intp)
+            jt = np.array([self.next_jmp])
+            if ejmp is not None:
+                nj = ejmp.left()
+                if pick is None:
+                    part = np.zeros(nj, dtype=np.intp)
+                else:
+                    part = self._parts(pick.buf[pick.i:pick.i + min(nj, pick.left())])
+                    nj = part.size
+                for j, s in enumerate(sizes):
+                    over = np.flatnonzero(np.cumsum(part == j) > s.left())
+                    if over.size:
+                        nj = min(nj, int(over[0]))
+                jt = np.cumsum(np.concatenate(([self.next_jmp],
+                                               ejmp.buf[ejmp.i:ejmp.i + nj])))
+            # collapse k needs multiplier k and collapse clock k; a batch that
+            # reaches the run's last collapse stops right after it
+            nc, c_stop = 0, self.next_col
+            ct = np.array([self.next_col])
+            if ecol is not None:
+                cut = last - self.n_collapses
+                nc = min(ecol.left(), umult.left(), cut)
+                ct = np.cumsum(np.concatenate(([self.next_col],
+                                               ecol.buf[ecol.i:ecol.i + nc])))
+                c_stop = ct[nc - 1] if nc == cut else ct[nc]
+            # merge, jumps first at ties
+            j_stop = jt[nj]
+            nj = int(min(np.searchsorted(jt[:nj], c_stop, side="right"),
+                         np.searchsorted(jt[:nj], stop, side="left")))
+            nc = int(np.searchsorted(ct[:nc], min(j_stop, stop), side="left"))
+            col = np.zeros(nj + nc, dtype=bool)
+            col[np.arange(nc) + np.searchsorted(jt[:nj], ct[:nc], side="right")] = True
+            if col.size > _BLOCK:
+                col = col[:_BLOCK]
+                nc = int(np.count_nonzero(col))
+                nj = _BLOCK - nc
+            t = np.empty(col.size)
+            t[col] = ct[:nc]
+            t[~col] = jt[:nj]
+            size = np.empty(nj)
+            for j, s in enumerate(sizes):
+                m = part[:nj] == j
+                k = int(np.count_nonzero(m))
+                size[m] = s.buf[s.i:s.i + k]
+                s.i += k
+            u = umult.buf[umult.i:umult.i + nc]
+            umult.i += nc
+            for stream, k in ((pick, nj), (ejmp, nj), (ecol, nc)):
+                if stream is not None:
+                    stream.i += k
+            dt = np.diff(t, prepend=self.t)
+            dd = self._drift * dt
+            jmp = ~col
+            a = np.ones(col.size)
+            a[col] = u
+            b = np.empty(col.size)
+            b[jmp] = dd[jmp] + size
+            b[col] = u * dd[col]
+            c = np.zeros(col.size)
+            c[jmp] = size
+            self.t = float(t[-1])
+            self.next_jmp = float(jt[nj])
+            self.next_col = float(ct[nc])
+            self.n_collapses += nc
+            yield dt, col, a, b, c
+
+
+def _drain(z: np.ndarray, dt: np.ndarray, drift: float, pool: SamplePool):
+    """Move levels z along the drift for dt each, clamped at zero.
+
+    Returns the levels reached and the total pushed in at zero, and adds
+    the elapsed time and occupied area to pool.
+    """
+    q = z + drift * dt
+    below = q < 0.0
+    area = dt * (z + 0.5 * drift * dt)
+    area[below] = 0.5 * z[below] * (z[below] / -drift)  # hits zero at z / -drift
+    pool.time_total += float(dt.sum())
+    pool.time_integral += float(area.sum())
+    return np.maximum(q, 0.0), float(-q[below].sum())
+
+
+def _euler_run(model, lam, collapse, rng, z, step_h, visit, *,
+               horizon=None, n_collapses=None, pool=None):
+    """Event loop of the Euler engine for lanes z driven by the same noise.
+
+    z lists one level per lane. Between events every lane takes the same
+    Euler increments and is reflected through the discrete running-infimum
+    map; pool, if given, runs with a single lane and gains its time
+    totals. After each event,
+    visit(pre, u, z) gets the levels just before it, the collapse
+    multiplier (None for a jump) and the levels after it. Returns the
+    final levels, time and lane-0 regulator, the next collapse and jump
+    epochs and the number of collapses.
+    """
+    drift = model.drift_rate()
+    sig = math.sqrt(model.sigma2_total())
+    full_drift, full_sd = drift * step_h, sig * math.sqrt(step_h)
+    ecol, ejmp, pick, sizes, cuts, umult = _event_streams(model, lam, collapse, rng)
+
+    def advance(z, dt):
+        n = max(1, math.ceil(dt / step_h - 1e-9))
+        h_last = dt - step_h * (n - 1)
+        xi = rng.standard_normal(n)
+        incs = full_drift + full_sd * xi
+        incs[-1] = drift * h_last + sig * math.sqrt(h_last) * float(xi[-1])
+        s = np.cumsum(incs)
+        qs = [zk + s for zk in z]
+        if pool is None:
+            lows = [float(q.min()) for q in qs]
+        else:
+            low = np.minimum.accumulate(qs[0])
+            lows = [float(low[-1])]
+            w = qs[0] - np.minimum(low, 0.0)
+            hs = np.full(n, step_h)
+            hs[-1] = h_last
+            pool.time_total += dt
+            pool.time_integral += float(w @ hs)
+        return ([float(q[-1]) - min(low, 0.0) for q, low in zip(qs, lows)],
+                max(0.0, -lows[0]))
+
+    t = 0.0
+    reg = 0.0
+    ncol = 0
+    next_col = t + ecol.take() if ecol else math.inf
+    next_jmp = t + ejmp.take() if ejmp else math.inf
+    while True:
+        t_next = min(next_col, next_jmp)
+        if horizon is not None and t_next >= horizon:
+            if horizon > t:
+                z, pushed = advance(z, horizon - t)
+                reg += pushed
+            t = horizon
+            break
+        pre, pushed = advance(z, t_next - t)
+        reg += pushed
+        t = t_next
+        if next_jmp <= next_col:
+            u = None
+            jump = _take_jump(pick, sizes, cuts)
+            z = [zk + jump for zk in pre]
+            next_jmp = t + ejmp.take()
+        else:
+            u = umult.take()
+            z = [zk * u for zk in pre]
+            ncol += 1
+            next_col = t + ecol.take()
+        visit(pre, u, z)
+        if n_collapses is not None and ncol >= n_collapses:
+            break
+    return z, t, reg, next_col, next_jmp, ncol
+
+
 def path_simulate(model: LevyModel, lam: float, collapse: CollapseLaw, *,
                   horizon: Optional[float] = None,
                   n_collapses: Optional[int] = None,
@@ -515,11 +776,12 @@ def path_simulate(model: LevyModel, lam: float, collapse: CollapseLaw, *,
 
     Event epochs (jumps of the compound part, collapses) come from
     competing exponential clocks. Between events a model without a
-    Brownian part moves along its drift exactly, clamped at zero; with a
-    Brownian part the segment is Euler-discretized with step step_h and
-    reflected through the discrete running-infimum map. The pool collects
-    the level immediately before each collapse plus occupation-time
-    totals; pass return_final=True to also get the terminal PathState.
+    Brownian part moves along its drift exactly, clamped at zero, and its
+    events are folded in batches; with a Brownian part the segment is
+    Euler-discretized with step step_h and reflected through the discrete
+    running-infimum map. The pool collects the level immediately before
+    each collapse plus occupation-time totals; pass return_final=True to
+    also get the terminal PathState.
     """
     if (horizon is None) == (n_collapses is None):
         raise ConfigError("give exactly one of horizon or n_collapses")
@@ -534,69 +796,50 @@ def path_simulate(model: LevyModel, lam: float, collapse: CollapseLaw, *,
         raise ConfigError("step_h is required when the model has a Brownian part")
     if step_h is not None and step_h <= 0:
         raise ConfigError("step_h must be > 0")
+    if n_collapses is not None:
+        n_collapses = int(n_collapses)
 
-    drift = model.drift_rate()
-    sig = math.sqrt(sig2)
     pool = SamplePool(alphas, thresholds, reservoir_cap)
-    ecol, ejmp, pick, sizes, cuts, umult = _event_streams(model, lam, collapse, rng)
+    held: list = []  # pre-collapse levels not yet pooled
+    n_held = 0
 
-    if sig2 == 0.0:
-        def advance(z, dt):
-            # exact linear motion, clamped at zero; returns (level, pushed)
-            z_new = z + drift * dt
-            pool.time_total += dt
-            if z_new >= 0.0:
-                pool.time_integral += dt * (z + 0.5 * drift * dt)
-                return z_new, 0.0
-            t_hit = z / -drift
-            pool.time_integral += 0.5 * z * t_hit
-            return 0.0, -z_new
+    def hold(levels):
+        nonlocal n_held
+        held.append(levels)
+        n_held += len(levels)
+        if n_held >= _BLOCK:
+            pool.add(np.concatenate(held), rng)
+            held.clear()
+            n_held = 0
+
+    if sig2 > 0.0:
+        def visit(pre, u, z):
+            if u is not None:
+                hold(pre[:1])
+
+        (z,), t, reg, next_col, next_jmp, ncol = _euler_run(
+            model, lam, collapse, rng, [float(z0)], step_h, visit,
+            horizon=horizon, n_collapses=n_collapses, pool=pool)
     else:
-        def advance(z, dt):
-            n = max(1, math.ceil(dt / step_h - 1e-9))
-            hs = np.full(n, step_h)
-            hs[-1] = dt - step_h * (n - 1)
-            incs = drift * hs + sig * np.sqrt(hs) * rng.standard_normal(n)
-            q = z + np.cumsum(incs)
-            low = np.minimum.accumulate(q)
-            w = q - np.minimum(low, 0.0)
-            pool.time_total += dt
-            pool.time_integral += float(w @ hs)
-            return float(w[-1]), max(0.0, -float(low[-1]))
-
-    t = 0.0
-    z = float(z0)
-    reg = 0.0
-    ncol = 0
-    next_col = t + ecol.take() if ecol else math.inf
-    next_jmp = t + ejmp.take() if ejmp else math.inf
-    buf: List[float] = []
-    while True:
-        t_next = min(next_col, next_jmp)
-        if horizon is not None and t_next >= horizon:
+        drift = model.drift_rate()
+        events = _EventBatches(model, lam, collapse, rng)
+        z, reg = float(z0), 0.0
+        for dt, col, a, b, c in events.batches(horizon, n_collapses):
+            levels = _fold(a, b, c, z)
+            pre, pushed = _drain(np.concatenate(([z], levels[:-1])), dt, drift, pool)
+            reg += pushed
+            hold(pre[col])
+            z = float(levels[-1])
+        t = events.t
+        if horizon is not None:
             if horizon > t:
-                z, pushed = advance(z, horizon - t)
+                end, pushed = _drain(np.array([z]), np.array([horizon - t]), drift, pool)
+                z = float(end[0])
                 reg += pushed
             t = horizon
-            break
-        z, pushed = advance(z, t_next - t)
-        reg += pushed
-        t = t_next
-        if next_jmp <= next_col:
-            z += _take_jump(pick, sizes, cuts)
-            next_jmp = t + ejmp.take()
-        else:
-            buf.append(z)
-            z *= umult.take()
-            ncol += 1
-            next_col = t + ecol.take()
-            if len(buf) >= _BLOCK:
-                pool.add(np.asarray(buf), rng)
-                buf.clear()
-            if n_collapses is not None and ncol >= int(n_collapses):
-                break
-    if buf:
-        pool.add(np.asarray(buf), rng)
+        next_col, next_jmp, ncol = events.next_col, events.next_jmp, events.n_collapses
+    if held:
+        pool.add(np.concatenate(held), rng)
     if return_final:
         state = PathState(t, z, reg, next_col, next_jmp, ncol, stream_id)
         return pool, state
@@ -622,57 +865,37 @@ def coupling_check(model: LevyModel, lam: float, collapse: CollapseLaw,
     sig2 = model.sigma2_total()
     if sig2 > 0 and step_h is None:
         raise ConfigError("step_h is required when the model has a Brownian part")
-    drift = model.drift_rate()
-    sig = math.sqrt(sig2)
-    ecol, ejmp, pick, sizes, cuts, umult = _event_streams(model, lam, collapse, rng)
-
-    if sig2 == 0.0:
-        def advance(zx, zy, dt):
-            return (max(zx + drift * dt, 0.0), max(zy + drift * dt, 0.0))
-    else:
-        def advance(zx, zy, dt):
-            n = max(1, math.ceil(dt / step_h - 1e-9))
-            hs = np.full(n, step_h)
-            hs[-1] = dt - step_h * (n - 1)
-            incs = drift * hs + sig * np.sqrt(hs) * rng.standard_normal(n)
-            s = np.cumsum(incs)
-            out = []
-            for z in (zx, zy):
-                q = z + s
-                low = min(float(np.min(q)), 0.0)
-                out.append(float(q[-1]) - low)
-            return out[0], out[1]
-
-    t = 0.0
-    zx, zy = float(x0), float(y0)
     gap0 = y0 - x0
     pi = 1.0
-    ncol = 0
     violation = 0.0
-    min_gap = zy - zx
-    next_col = t + ecol.take()
-    next_jmp = t + ejmp.take() if ejmp else math.inf
-    while ncol < n_collapses:
-        t_next = min(next_col, next_jmp)
-        zx, zy = advance(zx, zy, t_next - t)
-        t = t_next
-        if next_jmp <= next_col:
-            jump = _take_jump(pick, sizes, cuts)
-            zx += jump
-            zy += jump
-            next_jmp = t + ejmp.take()
-        else:
-            u = umult.take()
-            zx *= u
-            zy *= u
-            pi *= u
-            ncol += 1
-            next_col = t + ecol.take()
-            excess = (zy - zx) - gap0 * pi
-            if excess > violation:
-                violation = excess
-        if zy - zx < min_gap:
-            min_gap = zy - zx
+    min_gap = gap0
+
+    if sig2 > 0.0:
+        def visit(pre, u, z):
+            nonlocal pi, violation, min_gap
+            gap = z[1] - z[0]
+            if u is not None:
+                pi *= u
+                violation = max(violation, gap - gap0 * pi)
+            min_gap = min(min_gap, gap)
+
+        _euler_run(model, lam, collapse, rng, [float(x0), float(y0)], step_h, visit,
+                   n_collapses=n_collapses)
+        return violation, min_gap
+
+    # both paths are one fold of the same increasing maps, so the gap
+    # cannot turn negative
+    zx, zy = float(x0), float(y0)
+    for _, col, a, b, c in _EventBatches(model, lam, collapse, rng).batches(
+            None, n_collapses):
+        lx, ly = _fold(a, b, c, zx), _fold(a, b, c, zy)
+        gap = ly - lx
+        pis = np.cumprod(np.concatenate(([pi], a[col])))
+        if pis.size > 1:
+            violation = max(violation, float(np.max(gap[col] - gap0 * pis[1:])))
+        min_gap = min(min_gap, float(gap.min()))
+        pi = float(pis[-1])
+        zx, zy = float(lx[-1]), float(ly[-1])
     return violation, min_gap
 
 

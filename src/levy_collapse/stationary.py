@@ -851,13 +851,22 @@ def bm_closed_form_lst(c: float, sigma2: float, lam: float, alpha: float) -> flo
 
 
 def mm1_roots(d: float, gamma: float, mu: float, lam: float) -> Tuple[float, float, float, float]:
-    """(z1, z2, F1, F2) for the exponential-jump closed form."""
+    """(z1, z2, F1, F2) for the exponential-jump closed form.
+
+    z1 > 0 > z2 solve the quadratic with sum s = (lam + gamma)/d - mu and
+    product -lam*mu/d; as in `bm_roots` the root without cancellation is
+    computed first and the other recovered from the product.
+    """
     if d <= 0 or gamma < 0 or mu <= 0 or lam <= 0:
         raise DomainError("need d > 0, gamma >= 0, mu > 0, lam > 0")
     s = (lam + gamma) / d - mu
     disc = math.sqrt(s * s + 4.0 * lam * mu / d)
-    z1 = 0.5 * (s + disc)
-    z2 = -lam * mu / (d * z1)
+    if s >= 0:
+        z1 = 0.5 * (s + disc)
+        z2 = -lam * mu / (d * z1)
+    else:
+        z2 = 0.5 * (s - disc)
+        z1 = -lam * mu / (d * z2)
     f1 = (lam / d - z2) / (z1 - z2)
     return z1, z2, f1, 1.0 - f1
 

@@ -8,6 +8,7 @@ are exact.
 
 import math
 import os
+from decimal import Decimal, getcontext
 import subprocess
 import sys
 
@@ -174,12 +175,33 @@ def test_exponential_jump_mixture_is_always_proper():
                       rng.uniform(0.5, 4.0), rng.uniform(0.3, 3.0), rng, 100)
 
 
+def test_exponential_jump_roots_are_stable_when_mu_dominates():
+    # (lam+gamma)/d far below mu: the naive sum (s + disc)/2 cancels, giving
+    # eta/mu > 1 at the first point and a zero root at the second; the
+    # references are the two quadratic roots at 50 digits
+    getcontext().prec = 50
+    for d, gam, mu, lam in ((1.0, 1.0, 1e7, 1e-7), (1.0, 0.0, 1e8, 1e-9)):
+        z1, z2, f1, f2 = mm1_roots(d, gam, mu, lam)
+        s = (Decimal(lam) + Decimal(gam)) / Decimal(d) - Decimal(mu)
+        disc = (s * s + 4 * Decimal(lam) * Decimal(mu) / Decimal(d)).sqrt()
+        assert z1 == pytest.approx(float((s + disc) / 2), rel=1e-12)
+        assert z2 == pytest.approx(float((s - disc) / 2), rel=1e-12)
+        assert 0.0 < -z2 <= mu
+        w, l = sample_wl_mm1(d, gam, mu, lam, np.random.default_rng(2), 1000)
+        assert np.all(w >= 0.0) and np.all(l > 0.0)
+    assert mm1_roots(1.0, 1.0, 1e7, 1e-7)[0] == pytest.approx(1.0000001e-7, rel=1e-12)
+    assert -mm1_roots(1.0, 1.0, 1e7, 1e-7)[1] / 1e7 == pytest.approx(0.9999999, rel=1e-12)
+
+
 def test_exponential_jump_mixture_guard_survives_optimized_mode():
-    # (lam+gamma)/d far below mu makes the root formula cancel, so the
-    # computed atom weight eta/mu exceeds one; the guard must hold under -O
+    # the roots keep eta <= mu for every valid input, so the subprocess
+    # injects a negative root beyond the jump pole -mu; the guard must
+    # still raise under -O, where an assert would be gone
     src = os.path.dirname(os.path.dirname(os.path.abspath(levy_collapse.__file__)))
     code = ("import numpy as np\n"
+            "import levy_collapse.simulate as sim\n"
             "from levy_collapse import ModelError, sample_wl_mm1\n"
+            "sim.mm1_roots = lambda d, g, mu, lam: (1e-7, -1.0035 * mu, 0.5, 0.5)\n"
             "try:\n"
             "    sample_wl_mm1(1.0, 1.0, 1e7, 1e-7, np.random.default_rng(1))\n"
             "except ModelError as exc:\n"

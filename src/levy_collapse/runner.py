@@ -213,12 +213,10 @@ def _suite_closed_form(kind: str, cfg) -> list:
     for p in sets:
         lam = p[-1]
         sol = stationary.stationary_solution(make(p), lam, 1.0)
-        worst = 0.0
         # the closed forms have a pole at the positive factorization root, so
         # the comparison stays on [0, 0.95 root] where both routes are defined
-        a_grid = np.linspace(0.0, 0.95 * sol.alpha_lambda, 50)
-        for a in a_grid:
-            worst = max(worst, abs(sol.lst(float(a)) - closed(*p, float(a))))
+        grid = sol.grid(np.linspace(0.0, 0.95 * sol.alpha_lambda, 50))
+        worst = max(abs(v - closed(*p, a)) for a, v in zip(grid.alphas, grid.values))
         tag = "x".join(_fmt(v) for v in p)
         rows.append(_row(f"{kind}.dual_route[{tag}]", 0.0, worst, tol))
     return rows

@@ -91,7 +91,8 @@ class SamplePool:
     occupation-time totals, and a bounded uniform subsample of the levels.
     The subsample keeps the entries with the smallest random keys, so
     merging two pools and trimming again is still uniform over the union
-    and independent of merge order.
+    and independent of merge order. It is put in key order only when
+    `res_keys` or `res_vals` is read.
     """
 
     alphas: Tuple[float, ...] = ()
@@ -105,8 +106,9 @@ class SamplePool:
     lst_sum: np.ndarray = field(default=None, repr=False)
     lst_sqsum: np.ndarray = field(default=None, repr=False)
     exceed: np.ndarray = field(default=None, repr=False)
-    res_keys: np.ndarray = field(default=None, repr=False)
-    res_vals: np.ndarray = field(default=None, repr=False)
+    _keys: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False)
+    _vals: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False)
+    _sorted: bool = field(default=True, init=False, repr=False)
 
     def __post_init__(self):
         self.alphas = tuple(float(a) for a in self.alphas)
@@ -126,9 +128,6 @@ class SamplePool:
             self.lst_sqsum = np.zeros(len(self.alphas))
         if self.exceed is None:
             self.exceed = np.zeros(len(self.thresholds), dtype=np.int64)
-        if self.res_keys is None:
-            self.res_keys = np.empty(0)
-            self.res_vals = np.empty(0)
 
     def add(self, values, rng: np.random.Generator) -> None:
         """Fold a batch of levels in; rng supplies the reservoir keys."""
@@ -154,14 +153,29 @@ class SamplePool:
             self._push(rng.random(z.size), z)
 
     def _push(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        keys = np.concatenate([self.res_keys, keys])
-        vals = np.concatenate([self.res_vals, vals])
+        keys = np.concatenate([self._keys, keys])
+        vals = np.concatenate([self._vals, vals])
         if keys.size > self.cap:
             idx = np.argpartition(keys, self.cap)[: self.cap]
             keys, vals = keys[idx], vals[idx]
-        order = np.argsort(keys, kind="stable")
-        self.res_keys = keys[order]
-        self.res_vals = vals[order]
+        self._keys, self._vals, self._sorted = keys, vals, False
+
+    def _sort(self) -> None:
+        if not self._sorted:
+            order = np.argsort(self._keys, kind="stable")
+            self._keys, self._vals, self._sorted = self._keys[order], self._vals[order], True
+
+    @property
+    def res_keys(self) -> np.ndarray:
+        """Reservoir keys in ascending order."""
+        self._sort()
+        return self._keys
+
+    @property
+    def res_vals(self) -> np.ndarray:
+        """Reservoir levels in the order of their keys."""
+        self._sort()
+        return self._vals
 
     def merge(self, other: "SamplePool") -> "SamplePool":
         """Combine two pools; commutative, and associative up to rounding."""
@@ -177,10 +191,8 @@ class SamplePool:
         out.lst_sum = self.lst_sum + other.lst_sum
         out.lst_sqsum = self.lst_sqsum + other.lst_sqsum
         out.exceed = self.exceed + other.exceed
-        out.res_keys = np.empty(0)
-        out.res_vals = np.empty(0)
-        out._push(np.concatenate([self.res_keys, other.res_keys]),
-                  np.concatenate([self.res_vals, other.res_vals]))
+        out._push(np.concatenate([self._keys, other._keys]),
+                  np.concatenate([self._vals, other._vals]))
         return out
 
     def moment(self, order: int) -> float:
@@ -207,7 +219,7 @@ class SamplePool:
 
     def ecdf_values(self) -> np.ndarray:
         """Retained levels in ascending order."""
-        return np.sort(self.res_vals)
+        return np.sort(self._vals)
 
     def summary(self) -> List[Tuple[str, float, float]]:
         """(stat, value, stderr) rows; deterministic given the accumulators."""

@@ -111,7 +111,8 @@ def find_alpha_lambda(model: LevyModel, lam: float) -> float:
             xn = 0.5 * (lo + hi)
         x = xn
     if abs(model.phi(x) - lam) > 1e-10 * lam:
-        raise QuadratureFailure("root refinement for phi(alpha) = lambda stalled")
+        raise QuadratureFailure("root refinement for phi(alpha) = lambda stalled: "
+                                f"{model!r}, lambda={lam:.6g}")
     return x
 
 
@@ -200,13 +201,15 @@ _SERIES_MAX = 8
 _CHUNK = 1 << 15
 
 # E f(scale U): Gauss nodes per piece tried in turn, the agreement two
-# consecutive rungs must reach, and the number of dyadic halvings below the
-# root. The grading stops there because every alpha below the innermost
-# mesh edge of a heavy-tailed model costs a 64-point remainder integral of
-# its own, each point a quadrature for near-integer Pareto tails
+# consecutive rungs must reach, and the number of dyadic halvings below
+# min(scale, root). The grading stops there because every alpha below the
+# innermost mesh edge of a heavy-tailed model costs a 64-point remainder
+# integral of its own, each point a quadrature for near-integer Pareto tails
 _COLLAPSE_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128)
 _COLLAPSE_TOL = 1e-12
 _COLLAPSE_HALVINGS = 10
+# bound on the memo of collapse-average pieces of one solution
+_PIECES_CAP = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +222,10 @@ class StationarySolution:
 
     Construction performs all expensive work (root, Chebyshev antiderivatives
     of the regular exponent remainders, Gauss rules, normalizer b, atom).
-    Afterwards an instance only writes to two memos, `_efu_cache` (collapse
-    averages) and `_inner_cache` (innermost remainder integrals of heavy-tailed
-    models). Both are write-once maps of deterministic values, so a thread
+    Afterwards an instance only writes to two memos, `_pieces` (the scale-
+    free piece sums of collapse averages, see `_collapse_ladder`) and
+    `_inner_cache` (innermost remainder integrals of heavy-tailed models).
+    Both are bounded, write-once maps of deterministic values, so a thread
     that races another at worst recomputes an entry and sharing instances
     across threads is safe; module-level helpers cache them per parameter
     triple.
@@ -239,7 +243,7 @@ class StationarySolution:
         A = self.alpha_lambda
         p = model.phi_deriv(A)
         if not p > 0:
-            raise QuadratureFailure("phi'(alpha_lambda) must be positive")
+            raise self._failure("phi'(alpha_lambda) must be positive")
         self.phi_prime_root = p
         self.K = lam / (A * p)
         self._tK = self.theta * self.K
@@ -258,8 +262,8 @@ class StationarySolution:
             except (ModelError, QuadratureFailure):
                 break
         if len(ders) < 5:
-            raise QuadratureFailure("too few phi derivatives at the root for "
-                                    "the remainder expansion")
+            raise self._failure("too few phi derivatives at the root for the "
+                                "remainder expansion")
         xser = [0.0] * (len(ders) + 1)
         for k in range(1, len(ders) + 1):
             xser[k] = (-1.0) ** (k + 1) * ders[k - 1] / (math.factorial(k + 1) * p)
@@ -313,17 +317,21 @@ class StationarySolution:
         self._Qc = outer.integ(lbnd=self._vw)
         self._Q_bandhi = float(self._Q(np.array([A + self._w]))[0])
         self._tail_s, self._tail_w = self._pick_tail_rule()
-        self._efu_cache = {}
+        self._pieces = {}
 
         gA = A * float(self._below_integral(np.array([0.0]), self._tail_s,
                                             self._tail_w)[0])
         if not (gA > 0 and math.isfinite(gA)):
-            raise QuadratureFailure("normalizing integral did not evaluate")
+            raise self._failure("normalizing integral did not evaluate")
         self._gA = gA
         self.b = 1.0 / gA
 
         d_eff = model.phi_over_alpha_limit()
         self.atom = 0.0 if math.isinf(d_eff) else lam * self.b / ((1.0 + theta) * d_eff)
+
+    def _failure(self, what: str) -> QuadratureFailure:
+        return QuadratureFailure(f"{what}: {self.model!r}, lambda={self.lam:.6g}, "
+                                 f"theta={self.theta:.6g}")
 
     # -- exponent remainders -------------------------------------------------
 
@@ -429,7 +437,7 @@ class StationarySolution:
             gate = 6.0 * (K * self._dA_est / u**2 + trunc) + 5e-11 * scale
             diff = abs(self._r_series(u) - self._left_integrand(A - u))
             if diff > gate:
-                raise QuadratureFailure(
+                raise self._failure(
                     "root expansion of the remainder disagrees with the "
                     f"direct formula at distance {u:.3e} from the root "
                     f"({diff:.3e} > {gate:.3e})")
@@ -465,7 +473,7 @@ class StationarySolution:
             err = float(np.max(np.abs(interp(probes) - direct)))
             if err <= rtol * scale:
                 return interp
-        raise QuadratureFailure(f"{what} did not converge on a Chebyshev grid")
+        raise self._failure(f"{what} did not converge on a Chebyshev grid")
 
     def _R(self, xs: np.ndarray) -> np.ndarray:
         """Antiderivative of the inner remainder r, continuous on [lo, A]."""
@@ -527,7 +535,7 @@ class StationarySolution:
             if prev is not None and np.all(np.abs(vals - prev) <= 4e-12 * (np.abs(vals) + 1.0)):
                 return S, W
             prev = vals
-        raise QuadratureFailure("endpoint-weighted quadrature did not stabilize")
+        raise self._failure("endpoint-weighted quadrature did not stabilize")
 
     def _below_integral(self, alphas: np.ndarray, S: np.ndarray,
                         W: np.ndarray) -> np.ndarray:
@@ -574,39 +582,6 @@ class StationarySolution:
         out[alphas == 0.0] = 1.0
         return out
 
-    def _collapse_rule(self, scale: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Composite n-point-per-piece rule for int_0^1 theta t^(theta-1) u(t) dt.
-
-        The cuts sit at t = (root/scale) 2^k, so no piece straddles the
-        branch switch at the root, and grade down toward zero, where heavy-
-        tailed transforms have their alpha^delta kink and nearby negative
-        poles limit the convergence of a single piece. The innermost piece
-        [0, c] carries the weight's singularity: a Gauss-Jacobi rule for
-        t^(theta-1) when theta >= 1, the substitution v = t^theta below that
-        (Jacobi rules lose digits as their exponent approaches -1).
-        """
-        th = self.theta
-        top = 1.0 if scale <= self.alpha_lambda else self.alpha_lambda / scale
-        edges = list(top * 2.0 ** -np.arange(_COLLAPSE_HALVINGS, -1, -1.0))
-        cut = 2.0 * top
-        while cut < 1.0:
-            edges.append(cut)
-            cut *= 2.0
-        if top < 1.0:
-            edges.append(1.0)
-        a = np.array(edges[:-1])
-        width = np.diff(edges)
-        T, W = _legendre_rule(n)
-        t = a[:, None] + width[:, None] * T
-        w = width[:, None] * W * th * t ** (th - 1.0)
-        c = edges[0]
-        if th >= 1.0:
-            s0, w0 = _jacobi_rule(n, th - 1.0)
-            t0, w0 = c * s0, th * c**th * w0
-        else:
-            t0, w0 = c * T ** (1.0 / th), c**th * W
-        return np.concatenate([t0, t.ravel()]), np.concatenate([w0, w.ravel()])
-
     # -- public surface -------------------------------------------------------
 
     def branch(self, alpha: float) -> str:
@@ -648,34 +623,69 @@ class StationarySolution:
             return 1.0
         if scale < self._lo:
             raise DomainError(f"scale = {scale} below the analytic margin {self._lo}")
-        key = float(scale)
-        hit = self._efu_cache.get(key)
+        scale, th = float(scale), self.theta
+        if th <= _POWER_GAUSS_MAX:
+            return self._collapse_ladder(scale)
+        # t^(theta-1) mass sits within O(1/theta) of 1; substituting
+        # t = exp(-u/theta) gives a plain exp(-u) weight
+        hit = self._pieces.get(scale)
         if hit is None:
-            th = self.theta
-            if th > _POWER_GAUSS_MAX:
-                # t^(theta-1) mass sits within O(1/theta) of 1; substituting
-                # t = exp(-u/theta) gives a plain exp(-u) weight
-                T, W = _laguerre_rule(96)
-                hit = float(W @ self._lst_many(key * np.exp(-T / th)))
-            else:
-                hit = self._collapse_ladder(key)
-            if len(self._efu_cache) < 4096:
-                self._efu_cache[key] = hit
+            T, W = _laguerre_rule(96)
+            hit = float(W @ self._lst_many(scale * np.exp(-T / th)))
+            if len(self._pieces) < _PIECES_CAP:
+                self._pieces[scale] = hit
         return hit
 
     def _collapse_ladder(self, scale: float) -> float:
-        """The composite rule at growing node counts until two consecutive
-        sums agree to _COLLAPSE_TOL; the finer one is returned."""
+        """Composite rule for int_0^scale theta (x/scale)^(theta-1) f(x) dx/scale
+        at growing node counts until two consecutive sums agree to
+        _COLLAPSE_TOL; the finer one is returned.
+
+        The cuts are the binary multiples of the root in
+        [min(|scale|, root) 2^-10, |scale|), then scale itself: no piece
+        straddles the branch switch at the root, the pieces grade down toward
+        zero, where heavy-tailed transforms have their alpha^delta kink and
+        nearby negative poles limit the convergence of a single piece, and
+        below the root they do not move with the scale. A piece [a, b] is
+        summed as int_a^b theta (x/b)^(theta-1) f(x) dx/b, which does not
+        depend on the scale, memoized under (a, b, n) and weighted by
+        (b/scale)^theta. The innermost piece [0, c] carries the weight's
+        singularity: a Gauss-Jacobi rule for s^(theta-1) when theta >= 1, the
+        substitution v = s^theta below that (Jacobi rules lose digits as
+        their exponent approaches -1).
+        """
+        A, th, mag = self.alpha_lambda, self.theta, abs(scale)
+        # the first cut is the least A 2^k at or above min(|scale|, A) 2^-10
+        (mA, eA), (mlo, elo) = math.frexp(A), math.frexp(min(mag, A) / 2**_COLLAPSE_HALVINGS)
+        cut, edges = math.ldexp(A, elo - eA + (mA < mlo)), [0.0]
+        while cut < mag:
+            edges.append(cut)
+            cut *= 2.0
+        edges = np.copysign(edges + [mag], scale)
+        weights = (edges[1:] / scale) ** th
         prev = None
         for n in _COLLAPSE_LADDER:
-            t, w = self._collapse_rule(scale, n)
-            val = float(w @ self._lst_many(scale * t))
+            keys = [(float(a), float(b), n) for a, b in zip(edges[:-1], edges[1:])]
+            sums = {k: self._pieces[k] for k in keys if k in self._pieces}
+            todo = [k for k in keys if k not in sums]
+            if todo:
+                T, W = _legendre_rule(n)
+                a, b = (np.array([k[i] for k in todo])[:, None] for i in (0, 1))
+                x = a + (b - a) * T
+                w = (b - a) / b * W * th * (x / b) ** (th - 1.0)
+                if a[0, 0] == 0.0:  # the innermost piece, always first
+                    s0, w0 = (_jacobi_rule(n, th - 1.0) if th >= 1.0
+                              else (T ** (1.0 / th), W / th))
+                    x[0], w[0] = b[0] * s0, th * w0
+                vals = (w * self._lst_many(x.ravel()).reshape(x.shape)).sum(axis=1)
+                sums.update(zip(todo, vals.tolist()))
+                if len(self._pieces) < _PIECES_CAP:
+                    self._pieces.update((k, sums[k]) for k in todo)
+            val = float(weights @ np.array([sums[k] for k in keys]))
             if prev is not None and abs(val - prev) <= _COLLAPSE_TOL:
                 return val
             prev = val
-        raise QuadratureFailure(
-            f"E f({scale:.6g} U) did not converge: {self.model!r}, "
-            f"lambda={self.lam:.6g}, theta={self.theta:.6g}")
+        raise self._failure(f"E f({scale:.6g} U) did not converge")
 
     def moments(self, n_max: int) -> list:
         """Stationary moments m_0..m_n from the cumulant recursion.
@@ -721,7 +731,7 @@ class StationarySolution:
         tags = tuple(self.branch(a) for a in alphas)
         for a, v in zip(alphas, values):
             if not (-1e-9 <= v <= 1.0 + 1e-9):
-                raise QuadratureFailure(f"transform value {v} at alpha={a} out of [0, 1]")
+                raise self._failure(f"transform value {v} at alpha={a} out of [0, 1]")
         return TransformGrid(alphas, values, tags)
 
 

@@ -410,6 +410,30 @@ def test_pool_merge_is_commutative_and_order_free():
     assert ab.summary() == ba.summary()
 
 
+def test_reservoir_keeps_the_smallest_keys_in_key_order():
+    # the reservoir is put in key order only when it is read; it holds the
+    # cap smallest keys drawn, with their levels, after every add and merge
+    cap = 300
+    pools, keys, vals = [], [], []
+    for seed in (11, 12):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        pool = SamplePool((), (), cap=cap)
+        for k in range(5):
+            z = 1000.0 * seed + np.arange(200.0 * k, 200.0 * (k + 1))
+            pool.add(z, rng)
+            keys.append(twin.random(z.size))
+            vals.append(z)
+        pools.append(pool)
+        order = np.argsort(np.concatenate(keys[-5:]))[:cap]
+        assert np.array_equal(pool.res_vals, np.concatenate(vals[-5:])[order])
+        assert np.array_equal(pool.res_keys, np.concatenate(keys[-5:])[order])
+    merged = pools[0].merge(pools[1])
+    order = np.argsort(np.concatenate(keys))[:cap]
+    assert np.array_equal(merged.ecdf_values(), np.sort(np.concatenate(vals)[order]))
+    assert np.array_equal(merged.res_vals, np.concatenate(vals)[order])
+    assert np.array_equal(merged.res_keys, np.concatenate(keys)[order])
+
+
 def test_pool_merge_requires_matching_grids():
     rng = np.random.default_rng(9)
     a = SamplePool((0.5,), (), cap=10)

@@ -607,6 +607,68 @@ def test_collapse_average_matches_adaptive_reference(theta):
             _collapse_average_reference(sol, scale), abs=1e-11)
 
 
+@pytest.mark.parametrize("fac", (0.01, 0.3, 3.0))
+@pytest.mark.parametrize("theta", (0.3, 1.0, 5.0))
+def test_collapse_average_off_the_root_matches_adaptive_reference(theta, fac):
+    # below the root the cuts are binary multiples of the root, not of the
+    # scale; above it the rule gains one piece per octave
+    for model in (BM, MM1, PARETO15):
+        sol = stationary_solution(model, 1.0, theta)
+        scale = fac * sol.alpha_lambda
+        assert sol.mean_lst_collapsed(scale) == pytest.approx(
+            _collapse_average_reference(sol, scale), abs=1e-11)
+
+
+@pytest.mark.parametrize("theta", (0.3, 1.0))
+def test_collapse_average_reuses_shared_pieces(monkeypatch, theta):
+    seen = []
+    batched = stationary.StationarySolution._lst_many
+
+    def recording(self, alphas):
+        seen.append(np.array(alphas))
+        return batched(self, alphas)
+
+    monkeypatch.setattr(stationary.StationarySolution, "_lst_many", recording)
+    for model in (BM, MM1, PARETO15):
+        sol = stationary.StationarySolution(model, 1.0, theta)
+        A = sol.alpha_lambda
+        sol.mean_lst_collapsed(A)
+        seen.clear()
+        beyond = sol.mean_lst_collapsed(1.5 * A)
+        nodes = np.concatenate(seen)
+        assert nodes.size > 0 and np.all((nodes > A) & (nodes <= 1.5 * A))
+        seen.clear()
+        assert sol.mean_lst_collapsed(1.5 * A) == beyond
+        assert not seen
+        # memoized pieces give the float a fresh solution computes
+        fresh = stationary.StationarySolution(model, 1.0, theta)
+        assert fresh.mean_lst_collapsed(1.5 * A) == beyond
+
+
+def _assert_names_the_model(err, text, model, lam, theta):
+    msg = str(err.value)
+    assert text in msg
+    assert msg.endswith(f": {model!r}, lambda={lam:.6g}, theta={theta:.6g}")
+
+
+def test_remainder_piece_failure_names_the_model(monkeypatch):
+    monkeypatch.setattr(stationary.StationarySolution, "_rho_above",
+                        lambda self, v: math.nan)
+    with pytest.raises(QuadratureFailure) as err:
+        stationary.StationarySolution(MM1, 0.7, 1.3)
+    _assert_names_the_model(err, "outer remainder did not converge", MM1, 0.7, 1.3)
+
+
+def test_endpoint_rule_failure_names_the_model(monkeypatch):
+    # every rung gives another value, so the ladder never settles
+    monkeypatch.setattr(stationary.StationarySolution, "_above_integral",
+                        lambda self, alphas, S, W: np.full(len(alphas), float(len(S))))
+    with pytest.raises(QuadratureFailure) as err:
+        stationary.StationarySolution(BM, 0.7, 1.3)
+    _assert_names_the_model(err, "endpoint-weighted quadrature did not stabilize",
+                            BM, 0.7, 1.3)
+
+
 def test_collapse_ladder_failure_names_the_model(monkeypatch):
     monkeypatch.setattr(stationary, "_COLLAPSE_TOL", -1.0)  # never settles
     sol = stationary.StationarySolution(MM1, 0.7, 1.3)

@@ -62,8 +62,8 @@ def point(runs, bench):
     """The BENCH entry of one set of runs."""
     env = {}
     for key in RECORD_KEYS:
-        seen = sorted({str(run["record"].get(key)) for run in runs})
-        env[key] = seen[0] if len(seen) == 1 else seen
+        seen = sorted({json.dumps(run["record"].get(key)) for run in runs})
+        env[key] = json.loads(seen[0]) if len(seen) == 1 else [json.loads(v) for v in seen]
     end_to_end = [m["name"] for m in bench["end_to_end"]]
     units = {m["name"]: m["unit"] for m in bench["end_to_end"] + bench["per_layer"]}
     workloads = {}

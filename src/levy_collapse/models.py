@@ -102,6 +102,21 @@ def _expint_series(c: float, z: float, kmin: int = 0) -> float:
     return total
 
 
+def _series_from_square(term: float, ratio) -> float:
+    """sum_{j>=2} t_j with t_2 = term and t_(j+1) = t_j * ratio(j).
+
+    The excess transforms lst - 1 + mean*alpha of closed-form jump laws
+    start at their alpha^2 term, so summing from there keeps every digit
+    the direct form cancels away at small alpha; callers keep |ratio| <= 1/2.
+    """
+    total, j = 0.0, 2
+    while abs(term) > 1e-17 * abs(total):
+        total += term
+        term *= ratio(j)
+        j += 1
+    return total
+
+
 # ---------------------------------------------------------------------------
 # jump size distributions
 # ---------------------------------------------------------------------------
@@ -183,7 +198,13 @@ class Erlang:
         return self.shape / self.rate
 
     def excess_lst(self, alpha: float) -> float:
-        return self.lst(alpha) - 1.0 + self.mean() * alpha
+        """lst(alpha) - 1 + mean*alpha; the binomial series of (1+u)^-shape,
+        u = alpha/rate, from its u^2 term while shape*|u| <= 1/2."""
+        k, u = self.shape, alpha / self.rate
+        if k * abs(u) > 0.5:
+            return self.lst(alpha) - 1.0 + self.mean() * alpha
+        return _series_from_square(0.5 * k * (k + 1) * u * u,
+                                   lambda j: -(k + j) / (j + 1) * u)
 
     def lst_abs_tol(self) -> float:
         return 0.0
@@ -353,7 +374,12 @@ class Deterministic:
         return self.size
 
     def excess_lst(self, alpha: float) -> float:
-        return self.lst(alpha) - 1.0 + self.size * alpha
+        """exp(-x) - 1 + x at x = alpha*size; the exponential series from
+        its x^2 term while |x| <= 1/2."""
+        x = alpha * self.size
+        if abs(x) > 0.5:
+            return self.lst(alpha) - 1.0 + x
+        return _series_from_square(0.5 * x * x, lambda j: -x / (j + 1))
 
     def lst_abs_tol(self) -> float:
         return 0.0

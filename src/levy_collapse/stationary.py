@@ -20,7 +20,8 @@ h is never integrated directly: the exact identity
 isolates the simple pole, the singular part
 K / (root - y), K = lam / (root * phi'(root)), integrates in closed form,
 and only the regular remainder r(y) is handled numerically. Away from the
-root r is sampled into Chebyshev antiderivatives; inside a narrow band
+root r is sampled into Chebyshev antiderivatives, piecewise where one
+piece does not converge (the interval is split); inside a narrow band
 around the root, where the direct formula turns into 0/0 and loses two
 digits per decade, r is replaced by its Taylor expansion (coefficients from
 a convolution recurrence on the derivatives of phi) and integrated in
@@ -33,7 +34,7 @@ finite-difference moment diagnostics rely on.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
@@ -74,6 +75,12 @@ __all__ = [
 _AT_ROOT_RTOL = 1e-9
 
 
+def _naming(model: LevyModel, lam: float, theta: Optional[float] = None) -> str:
+    """The end of every error message about one solution."""
+    tail = f": {model!r}, lambda={lam:.6g}"
+    return tail if theta is None else f"{tail}, theta={theta:.6g}"
+
+
 def find_alpha_lambda(model: LevyModel, lam: float) -> float:
     """Positive root of phi(alpha) = lam.
 
@@ -84,7 +91,8 @@ def find_alpha_lambda(model: LevyModel, lam: float) -> float:
     stopping early would be the dominant error of the whole solution.
     """
     if not (lam > 0 and math.isfinite(lam)):
-        raise ModelError("collapse rate lambda must be positive and finite")
+        raise ModelError("collapse rate lambda must be positive and finite"
+                         + _naming(model, lam))
     ftol = 4e-16 * lam
     for g_rate, jumps in model.jump_parts():
         ftol += g_rate * jumps.lst_abs_tol()
@@ -111,8 +119,8 @@ def find_alpha_lambda(model: LevyModel, lam: float) -> float:
             xn = 0.5 * (lo + hi)
         x = xn
     if abs(model.phi(x) - lam) > 1e-10 * lam:
-        raise QuadratureFailure("root refinement for phi(alpha) = lambda stalled: "
-                                f"{model!r}, lambda={lam:.6g}")
+        raise QuadratureFailure("root refinement for phi(alpha) = lambda stalled"
+                                + _naming(model, lam))
     return x
 
 
@@ -179,6 +187,20 @@ def _laguerre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return special.roots_laguerre(n)
 
 
+def _eval_pieces(pieces: tuple, xs: np.ndarray) -> np.ndarray:
+    """Piecewise antiderivative at xs from the (edges, antiderivatives,
+    offsets) lists that `StationarySolution._build_pieces` fills; offsets[j]
+    is the integral up to edges[j], offsets[-1] the one up to the right end."""
+    edges, antis, offsets = pieces
+    idx = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, len(antis) - 1)
+    out = np.empty_like(xs)
+    for j, anti in enumerate(antis):
+        sel = idx == j
+        if sel.any():
+            out[sel] = offsets[j] + anti(xs[sel])
+    return out
+
+
 def _poly_no_constant(u: np.ndarray, coef: Sequence[float]) -> np.ndarray:
     """sum_k coef[k-1] * u^k for k = 1..len(coef), by Horner's rule."""
     poly = np.zeros_like(u)
@@ -196,6 +218,14 @@ _EPS = 2.2e-16
 # keeps its truncation below the direct formulas' cancellation noise)
 _SERIES_MAX = 8
 
+# split-on-failure remainder pieces: the least factor by which a degree rung
+# must cut the probe error of the previous one, the deepest cut, and the
+# width (relative to the root) below which a failing piece [0, b] is left to
+# the sliver integral
+_RUNG_GAIN = 100.0
+_SPLIT_DEPTH = 12
+_SLIVER = 2.0 ** -16
+
 # (alpha x node) products per block of a batched transform evaluation;
 # bounds the temporaries whatever the number of alphas
 _CHUNK = 1 << 15
@@ -203,7 +233,7 @@ _CHUNK = 1 << 15
 # E f(scale U): Gauss nodes per piece tried in turn, the agreement two
 # consecutive rungs must reach, and the number of dyadic halvings below
 # min(scale, root). The grading stops there because every alpha below the
-# innermost mesh edge of a heavy-tailed model costs a 64-point remainder
+# sliver edge of a heavy-tailed model costs a 64-point remainder
 # integral of its own, each point a quadrature for near-integer Pareto tails
 _COLLAPSE_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128)
 _COLLAPSE_TOL = 1e-12
@@ -233,9 +263,11 @@ class StationarySolution:
 
     def __init__(self, model: LevyModel, lam: float, theta: float = 1.0):
         if not (theta > 0 and math.isfinite(theta)):
-            raise ModelError("collapse exponent theta must be positive")
+            raise ModelError("collapse exponent theta must be positive"
+                             + _naming(model, lam, theta))
         if math.isinf(model.cumulant(1)):
-            raise ModelError("the driving process must have a finite mean")
+            raise ModelError("the driving process must have a finite mean"
+                             + _naming(model, lam, theta))
         self.model = model
         self.lam = float(lam)
         self.theta = float(theta)
@@ -293,28 +325,25 @@ class StationarySolution:
         # only for models whose transforms extend analytically below zero.
         # The remainder has a pole at the negative root of phi = lam; phi is
         # convex with phi(0) = 0, so phi(lo) <= lam/2 keeps the margin clear
-        analytic_at_zero = model.min_alpha() < 0
         lo = 0.0
-        if analytic_at_zero:
+        if model.min_alpha() < 0:
             lo = max(0.25 * model.min_alpha(), -(2.5e-4 + 2e-3 * A))
             while model.phi(lo) > 0.5 * lam:
                 lo *= 0.5
         self._lo = lo
-        self._split = 0.5 * A
         self._band_lo_x = A - self._w
-
-        self._build_left(analytic_at_zero)
-        rtol_direct = max(2.5e-11, 4.0 * self.K * self._dA_est / self._w**2)
-        mid = self._build_cheb(self._left_integrand, self._split, self._band_lo_x,
-                               "inner remainder, middle piece",
-                               degrees=(64, 128, 256, 512), rtol=rtol_direct)
-        self._R_mid = mid.integ(lbnd=self._split)
-        self._R_offset_mid = self._R_left_eval(np.array([self._split]))[0]
-        self._R_bandlo = self._R_offset_mid + float(self._R_mid(self._band_lo_x))
         self._vw = self._w / (A + self._w)
-        outer = self._build_cheb(self._rho_above, self._vw, 1.0, "outer remainder",
-                                 degrees=(64, 128, 256, 512), rtol=rtol_direct)
-        self._Qc = outer.integ(lbnd=self._vw)
+
+        self._inner_cache = {}
+        rtol_direct = max(2.5e-11, 4.0 * self.K * self._dA_est / self._w**2)
+        self._inner, self._outer = ([], [], [0.0]), ([], [], [0.0])
+        self._build_pieces(self._left_integrand, lo, 0.5 * A, "inner remainder, left piece",
+                           (32, 64, 128, 256, 512), 1e-11, self._inner)
+        self._build_pieces(self._left_integrand, 0.5 * A, self._band_lo_x,
+                           "inner remainder, middle piece", (64, 128, 256, 512),
+                           rtol_direct, self._inner)
+        self._build_pieces(self._rho_above, self._vw, 1.0, "outer remainder",
+                           (64, 128, 256, 512), rtol_direct, self._outer)
         self._Q_bandhi = float(self._Q(np.array([A + self._w]))[0])
         self._tail_s, self._tail_w = self._pick_tail_rule()
         self._pieces = {}
@@ -330,8 +359,7 @@ class StationarySolution:
         self.atom = 0.0 if math.isinf(d_eff) else lam * self.b / ((1.0 + theta) * d_eff)
 
     def _failure(self, what: str) -> QuadratureFailure:
-        return QuadratureFailure(f"{what}: {self.model!r}, lambda={self.lam:.6g}, "
-                                 f"theta={self.theta:.6g}")
+        return QuadratureFailure(what + _naming(self.model, self.lam, self.theta))
 
     # -- exponent remainders -------------------------------------------------
 
@@ -341,76 +369,23 @@ class StationarySolution:
         poa = self.model.phi_over_alpha(y)
         return poa / (lam - y * poa) - K / (A - y)
 
-    def _build_left(self, analytic_at_zero: bool) -> None:
-        """Antiderivative of the remainder on [lo, A/2].
-
-        Analytic models take a single Chebyshev piece. Jump transforms with a
-        branch point at zero (regularly varying tails) make the remainder a
-        y^(delta-1) type kink there, which no single polynomial resolves; a
-        dyadic mesh keeps the origin two octaves away from every piece, so
-        low-degree pieces converge geometrically, and the innermost sliver is
-        integrated directly under the kink with a short Gauss rule.
-        """
-        lo, split = self._lo, self._split
-        self._inner_cache = {}
-        if analytic_at_zero:
-            cheb = self._build_cheb(self._left_integrand, lo, split,
-                                    "inner remainder, left piece")
-            anti = cheb.integ(lbnd=lo)
-            self._left_edges = np.array([lo, split])
-            self._left_anti = [anti]
-            self._left_offsets = [0.0]
-            self._inner_hi = lo
-            return
-        edges = split * 2.0 ** -np.arange(15, -1, -1.0)
-        self._inner_hi = float(edges[0])
-        anti_list, offsets = [], []
-        acc = self._R_inner(self._inner_hi)
-        for a, b in zip(edges[:-1], edges[1:]):
-            cheb = self._build_cheb(self._left_integrand, float(a), float(b),
-                                    "inner remainder, dyadic piece",
-                                    degrees=(24, 32, 48), rtol=1e-12)
-            anti = cheb.integ(lbnd=float(a))
-            anti_list.append(anti)
-            offsets.append(acc)
-            acc += float(anti(float(b)))
-        self._left_edges = edges
-        self._left_anti = anti_list
-        self._left_offsets = offsets
-
-    def _R_inner(self, x: float) -> float:
-        """int_0^x of the remainder for x below the innermost mesh edge.
+    def _R_inner(self, xs: np.ndarray) -> np.ndarray:
+        """int_0^x of the remainder for each x in the sliver next to zero.
 
         The integrand is bounded with a weak y^(delta-1) kink; a fixed
-        64-point Gauss rule leaves an error far below the mesh tolerance at
+        64-point Gauss rule leaves an error far below the piece tolerance at
         these widths (x <= 2^-16 * root).
         """
-        hit = self._inner_cache.get(x)
-        if hit is None:
-            T, W = _legendre_rule(64)
-            vals = np.array([self._left_integrand(x * t) for t in T])
-            hit = x * float(W @ vals)
-            if len(self._inner_cache) < 65536:
-                self._inner_cache[x] = hit
-        return hit
-
-    def _R_left_eval(self, xs: np.ndarray) -> np.ndarray:
-        out = np.empty_like(xs)
-        inner = xs < self._inner_hi
-        if inner.any():
-            out[inner] = [self._R_inner(float(x)) for x in xs[inner]]
-        rest = ~inner
-        if rest.any():
-            xr = xs[rest]
-            idx = np.clip(np.searchsorted(self._left_edges, xr, side="right") - 1,
-                          0, len(self._left_anti) - 1)
-            vals = np.empty_like(xr)
-            for j in range(len(self._left_anti)):
-                sel = idx == j
-                if sel.any():
-                    vals[sel] = self._left_offsets[j] + self._left_anti[j](xr[sel])
-            out[rest] = vals
-        return out
+        T, W = _legendre_rule(64)
+        out = []
+        for x in xs.tolist():
+            hit = self._inner_cache.get(x)
+            if hit is None:
+                hit = x * float(W @ np.array([self._left_integrand(x * t) for t in T]))
+                if len(self._inner_cache) < 65536:
+                    self._inner_cache[x] = hit
+            out.append(hit)
+        return np.array(out)
 
     def _r_series(self, u: float) -> float:
         """Remainder below the root from the expansion, u = A - y."""
@@ -446,8 +421,8 @@ class StationarySolution:
         """Regular outer remainder mapped via y = A/(1-v), for v in [vw, 1].
 
         rho(y) = lam/(y(phi-lam)) - K*A/(y(y-A)) decays like 1/y^2, so the
-        transformed integrand stays bounded up to v = 1 and one Chebyshev
-        antiderivative serves every alpha beyond the band.
+        transformed integrand stays bounded up to v = 1 and Chebyshev
+        antiderivatives serve every alpha beyond the band.
         """
         m, lam, A, K = self.model, self.lam, self.alpha_lambda, self.K
         if v >= 1.0:
@@ -458,44 +433,69 @@ class StationarySolution:
         rho = lam / (y * (m.phi(y) - lam)) - K * A / (y * (y - A))
         return rho * A / (1.0 - v) ** 2
 
-    def _build_cheb(self, fun: Callable[[float], float], a: float, b: float,
-                    what: str, degrees=(32, 64, 128, 256, 512),
-                    rtol: float = 1e-11) -> Chebyshev:
+    def _build_pieces(self, fun: Callable[[float], float], a: float, b: float,
+                      what: str, degrees: Sequence[int], rtol: float,
+                      pieces: tuple, depth: int = 0) -> None:
+        """Append Chebyshev antiderivatives of fun on [a, b] to the (edges,
+        antiderivatives, offsets) lists `pieces`, splitting where the ladder
+        fails (Chebfun's "splitting on").
+
+        Each degree is checked at 29 probes clustered like the Chebyshev
+        points. A rung that gains less than _RUNG_GAIN over the previous one
+        means this width holds more than one scale or sits on a noise
+        plateau, so the interval is cut: 1/8 of its width from an endpoint
+        that is the worst probe, else at its midpoint. A failing [0, b] with
+        b <= _SLIVER * root is the kink of a jump transform with a branch
+        point at zero and is left to _R_inner.
+        """
         def batch(xs):
             return np.array([fun(float(t)) for t in np.atleast_1d(xs)])
 
-        # probe layout mirrors the Chebyshev clustering, endpoints included
         probes = a + (b - a) * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 29)))
         direct = batch(probes)
         scale = max(1.0, float(np.max(np.abs(direct))))
+        prev = math.inf
         for deg in degrees:
             interp = Chebyshev.interpolate(batch, deg, domain=[a, b])
-            err = float(np.max(np.abs(interp(probes) - direct)))
-            if err <= rtol * scale:
-                return interp
-        raise self._failure(f"{what} did not converge on a Chebyshev grid")
+            miss = np.abs(interp(probes) - direct)
+            err = float(np.max(miss))
+            if err <= rtol * scale or not err * _RUNG_GAIN <= prev:
+                break
+            prev = err
+        if err <= rtol * scale:
+            anti = interp.integ(lbnd=a)
+        elif a == 0.0 and b <= _SLIVER * self.alpha_lambda:
+            anti = self._R_inner
+        elif depth == _SPLIT_DEPTH:
+            raise self._failure(f"{what} did not converge on a Chebyshev grid on "
+                                f"[{a:.6g}, {b:.6g}] after {depth} splits")
+        else:
+            worst = int(np.argmax(miss))
+            cut = (a + (b - a) / 8.0 if worst == 0 else
+                   b - (b - a) / 8.0 if worst == len(probes) - 1 else 0.5 * (a + b))
+            self._build_pieces(fun, a, cut, what, degrees, rtol, pieces, depth + 1)
+            return self._build_pieces(fun, cut, b, what, degrees, rtol, pieces, depth + 1)
+        edges, antis, offsets = pieces
+        edges.append(a)
+        antis.append(anti)
+        offsets.append(offsets[-1] + float(anti(np.array([b]))[0]))
 
     def _R(self, xs: np.ndarray) -> np.ndarray:
         """Antiderivative of the inner remainder r, continuous on [lo, A]."""
         xs = np.asarray(xs, dtype=float)
         out = np.empty_like(xs)
         band = xs > self._band_lo_x
-        mid = ~band & (xs > self._split)
-        left = ~band & ~mid
-        if left.any():
-            out[left] = self._R_left_eval(xs[left])
-        if mid.any():
-            out[mid] = self._R_offset_mid + self._R_mid(xs[mid])
+        out[~band] = _eval_pieces(self._inner, xs[~band])
         if band.any():
             # closed-form integral of the root expansion on (A-w, A]
             A, xb = self.alpha_lambda, xs[band]
-            out[band] = (self._R_bandlo + np.log((A - self._w) / xb) + self.K * (
+            out[band] = (self._inner[2][-1] + np.log((A - self._w) / xb) + self.K * (
                 self._band_cw - _poly_no_constant(A - xb, self._band_coef)))
         return out
 
     def _Q(self, xs: np.ndarray) -> np.ndarray:
         """int_A^x of the outer remainder for x >= A: closed-form integral of
-        the root expansion in [A, A+w], Chebyshev antiderivative beyond."""
+        the root expansion in [A, A+w], Chebyshev antiderivatives beyond."""
         A = self.alpha_lambda
         out = np.empty_like(xs)
         band = xs <= A + self._w
@@ -504,7 +504,7 @@ class StationarySolution:
             out[band] = self.K * (np.log(xb / A)
                                   + _poly_no_constant(xb - A, self._qband_coef))
         if not band.all():
-            out[~band] = self._Q_bandhi + self._Qc(1.0 - A / xs[~band])
+            out[~band] = self._Q_bandhi + _eval_pieces(self._outer, 1.0 - A / xs[~band])
         return out
 
     # -- fixed-rule transform evaluation --------------------------------------
@@ -540,8 +540,9 @@ class StationarySolution:
     def _below_integral(self, alphas: np.ndarray, S: np.ndarray,
                         W: np.ndarray) -> np.ndarray:
         """int_0^1 s^(theta K) exp(-theta (R(x)-R(alpha))) ds at
-        x = A - (A-alpha) s for each alpha below the root; bounded by
-        1/(1+theta K)."""
+        x = A - (A-alpha) s for each alpha below the root; at most
+        1/(1+theta K) where R increases on [alpha, A], but a remainder that
+        dips below zero at large theta can push it past the float range."""
         A = self.alpha_lambda
         xs = A - (A - alphas)[:, None] * S
         R = self._R(np.concatenate([xs.ravel(), alphas]))

@@ -196,6 +196,26 @@ def test_jump_samples_match_mean_and_transform():
         assert abs(e.mean() - jump_lst(jumps, 0.7)) <= 4.0 * se + 1e-12
 
 
+@pytest.mark.parametrize("jumps", (Deterministic(1.2), Deterministic(0.15),
+                                   Erlang(2, 3.0), Erlang(6, 0.3)))
+@pytest.mark.parametrize("x", (1e-8, 1e-5, 1e-3, 0.3))
+def test_excess_transform_matches_high_precision(jumps, x):
+    # lst - 1 + mean*alpha at alpha*scale = x, the scale being the jump size
+    # or the reciprocal Erlang rate; the direct form cancels to 1e-2 relative
+    # at x = 1e-8
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    if isinstance(jumps, Deterministic):
+        alpha = x / jumps.size
+        y = mpmath.mpf(alpha) * jumps.size
+        expected = mpmath.exp(-y) - 1 + y
+    else:
+        alpha = x * jumps.rate
+        u = mpmath.mpf(alpha) / jumps.rate
+        expected = (1 + u) ** -jumps.shape - 1 + jumps.shape * u
+    assert jumps.excess_lst(alpha) == pytest.approx(float(expected), rel=1e-14, abs=0.0)
+
+
 def test_pareto_needs_finite_mean():
     with pytest.raises(ModelError):
         Pareto(1.0, 0.5)

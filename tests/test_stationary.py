@@ -12,6 +12,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from levy_collapse import (
@@ -105,6 +107,26 @@ def test_root_solves_the_equation():
 def test_nonincreasing_input_is_rejected():
     with pytest.raises(SubordinatorInput):
         find_alpha_lambda(CppMinusDrift(0.0, 1.0, Exponential(2.0)), 1.0)
+
+
+def test_invalid_collapse_rate_names_the_model():
+    with pytest.raises(ModelError) as err:
+        find_alpha_lambda(MM1, -0.5)
+    assert str(err.value).endswith(f": {MM1!r}, lambda=-0.5")
+
+
+def test_invalid_collapse_exponent_names_the_model():
+    with pytest.raises(ModelError) as err:
+        stationary.StationarySolution(MM1, 0.7, math.inf)
+    assert str(err.value).endswith(f": {MM1!r}, lambda=0.7, theta=inf")
+
+
+def test_infinite_mean_input_names_the_model():
+    # delta * xm / (delta - 1) overflows: a valid Pareto law whose mean is inf
+    model = CppMinusDrift(1.0, 0.8, Pareto(1.5, 1e308))
+    with pytest.raises(ModelError) as err:
+        stationary.StationarySolution(model, 0.7, 1.3)
+    assert str(err.value).endswith(f": {model!r}, lambda=0.7, theta=1.3")
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +691,27 @@ def test_endpoint_rule_failure_names_the_model(monkeypatch):
                             BM, 0.7, 1.3)
 
 
+@pytest.mark.parametrize("method, text", (
+    ("_rho_above", "outer remainder did not converge"),
+    ("_left_integrand", "inner remainder, left piece did not converge"),
+))
+def test_remainder_split_stops_at_the_depth_cap(monkeypatch, method, text):
+    # a jump in the remainder converges on no piece however narrow, so the
+    # builder keeps splitting around it until the depth cap; the left jump
+    # sits far from the band next to the root where the expansion is checked
+    smooth = getattr(stationary.StationarySolution, method)
+
+    def with_a_jump(self, x):
+        at = 0.6180339887 if method == "_rho_above" else 0.1234567 * self.alpha_lambda
+        return smooth(self, x) + float(x < at)
+
+    monkeypatch.setattr(stationary.StationarySolution, method, with_a_jump)
+    with pytest.raises(QuadratureFailure) as err:
+        stationary.StationarySolution(MM1, 0.7, 1.3)
+    assert f"after {stationary._SPLIT_DEPTH} splits" in str(err.value)
+    _assert_names_the_model(err, text, MM1, 0.7, 1.3)
+
+
 def test_collapse_ladder_failure_names_the_model(monkeypatch):
     monkeypatch.setattr(stationary, "_COLLAPSE_TOL", -1.0)  # never settles
     sol = stationary.StationarySolution(MM1, 0.7, 1.3)
@@ -697,3 +740,108 @@ def test_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# models whose remainders need more than one Chebyshev piece
+# ---------------------------------------------------------------------------
+
+# parameters of analytic-sweep models (seed 1) that raised QuadratureFailure
+# on one piece: slow Erlang or deterministic jumps at small lambda (the
+# left piece spans several scales) and Brownian-plus-exponential sums at
+# lambda ~ 0.02 (the outer piece); the last is the negative-margin example
+# whose left piece reaches toward a pole at -0.0069
+SPLIT_CASES = {
+    "erlang.0.1": (CppMinusDrift(2.2050395423049376, 4.239496019327667,
+                                 Erlang(6, 0.3366198472373223)),
+                   0.019248515793123804, 0.46921850005193316),
+    "erlang.6.7": (CppMinusDrift(0.3401939094669294, 3.811151568867005,
+                                 Erlang(6, 0.23937397537601385)),
+                   0.2984270795747443, 0.04989457230495201),
+    "sum.2.5": (Sum((BrownianDrift(-0.2571641614138759, 0.5567275409029713),
+                     CppMinusDrift(8.166331044915482, 1.613810802303559,
+                                   Exponential(4.763019904165419)))),
+                0.03104625213871944, 8.954566618014686),
+    "sum.5.1": (Sum((BrownianDrift(0.5092666993085575, 0.5656281688552094),
+                     CppMinusDrift(4.624664630489137, 1.7060063790294788,
+                                   Exponential(6.078764378831461)))),
+                0.015641275379765344, 55.82534810880092),
+    "det.4.3": (CppMinusDrift(8.038589693257812, 0.9738239738859149,
+                              Deterministic(0.9074745755190876)),
+                0.01683922297445039, 0.7012314446770981),
+    "det.3.2": (CppMinusDrift(1.207014587725467, 4.057633573692552,
+                              Deterministic(0.15770872483261555)),
+                0.11312532257794292, 53.89916017819786),
+    "margin": (CppMinusDrift(0.267, 6.78, Exponential(0.126)), 0.392, 1.0),
+}
+
+
+def test_remainder_pieces_split_only_where_needed():
+    # one piece per interval where one converges; the regularly varying
+    # Pareto transform's kink at zero gets pieces graded by 1/8 toward it,
+    # down to the sliver [0, root 2^-16] that _R_inner integrates
+    for model in (BM, MM1):
+        sol = stationary.StationarySolution(model, 1.0, 1.0)
+        assert list(sol._inner[0]) == [sol._lo, 0.5 * sol.alpha_lambda]
+        assert list(sol._outer[0]) == [sol._vw]
+    sol = stationary.StationarySolution(PARETO15, 1.0, 1.0)
+    a = sol.alpha_lambda
+    assert list(sol._inner[0]) == [0.0] + [0.5 * a / 8.0**k for k in range(5, -1, -1)]
+    assert sol._inner[1][0] == sol._R_inner
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_multi_scale_remainders_solve(case):
+    model, lam, theta = SPLIT_CASES[case]
+    sol = stationary_solution(model, lam, theta)
+    a = sol.alpha_lambda
+    values = sol.grid([0.0, 0.5 * a, a, 2.0 * a]).values
+    assert values[0] == 1.0 and all(0.0 <= v <= 1.0 for v in values)
+    assert fixed_point_residual(model, lam, theta, 1.5 * a) <= 1e-9
+
+
+def _sweep_model(draw):
+    """A model of one of the analytic sweep's families, over its ranges."""
+    def log_uniform(lo, hi):
+        return math.exp(draw(st.floats(math.log(lo), math.log(hi))))
+
+    family = draw(st.sampled_from(("bm", "exp", "erlang", "det", "pareto", "sum")))
+    if family == "bm":
+        return BrownianDrift(draw(st.floats(-2.0, 2.0)), log_uniform(0.1, 10.0))
+    d, gamma = log_uniform(0.1, 10.0), log_uniform(0.1, 10.0)
+    if family == "erlang":
+        jumps = Erlang(draw(st.integers(2, 6)), log_uniform(0.1, 10.0))
+    elif family == "det":
+        jumps = Deterministic(log_uniform(0.1, 10.0))
+    elif family == "pareto":
+        jumps = Pareto(draw(st.floats(1.2, 2.8)), log_uniform(0.1, 1.0))
+    else:
+        jumps = Exponential(log_uniform(0.1, 10.0))
+    model = CppMinusDrift(d, gamma, jumps)
+    if family == "sum":
+        return Sum((BrownianDrift(draw(st.floats(-1.0, 1.0)), log_uniform(0.1, 5.0)),
+                    model))
+    return model
+
+
+@seed(20250116)
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_analytic_layer_solves_or_names_the_model(data):
+    # every valid model gives a transform in [0, 1] that passes its own
+    # fixed-point residual, or an error that names it
+    model = _sweep_model(data.draw)
+    lam = math.exp(data.draw(st.floats(math.log(1e-2), math.log(1e2)), label="log lam"))
+    theta = math.exp(data.draw(st.floats(math.log(0.03), math.log(500.0)),
+                               label="log theta"))
+    try:
+        sol = stationary_solution(model, lam, theta)
+        a = sol.alpha_lambda
+        values = sol.grid([0.0, 0.5 * a, a, 2.0 * a]).values
+        residual = fixed_point_residual(model, lam, theta, 1.5 * a)
+    except QuadratureFailure as err:
+        assert str(err).endswith(f": {model!r}, lambda={lam:.6g}, theta={theta:.6g}")
+        return
+    assert all(0.0 <= v <= 1.0 for v in values)
+    assert residual <= 1e-9

@@ -187,17 +187,62 @@ def _laguerre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return special.roots_laguerre(n)
 
 
+def _clenshaw(coef: np.ndarray, u: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Chebyshev series coef at the points u (mapped to [-1, 1]), in place.
+
+    Runs numpy's `chebval` recurrence in its operation order, so the values
+    are bit-identical to it, but writes only into the rows of `work` (at
+    least 4 x len(u)); the result is u's buffer, overwritten.
+    """
+    n = len(coef)
+    if n < 3:
+        np.multiply(u, coef[1] if n == 2 else 0.0, out=work[0])
+        return np.add(work[0], coef[0], out=u)
+    x2, c0, c1, tmp = work[0], work[1], work[2], work[3]
+    np.multiply(u, 2.0, out=x2)
+    c0.fill(coef[-3] - coef[-1])
+    np.multiply(x2, coef[-1], out=c1)
+    np.add(c1, coef[-2], out=c1)
+    for ck in coef[-4::-1].tolist():
+        np.subtract(ck, c1, out=tmp)
+        np.multiply(c1, x2, out=c1)
+        np.add(c1, c0, out=c1)
+        c0, tmp = tmp, c0
+    np.multiply(c1, u, out=c1)
+    return np.add(c0, c1, out=u)
+
+
 def _eval_pieces(pieces: tuple, xs: np.ndarray) -> np.ndarray:
     """Piecewise antiderivative at xs from the (edges, antiderivatives,
     offsets) lists that `StationarySolution._build_pieces` fills; offsets[j]
-    is the integral up to edges[j], offsets[-1] the one up to the right end."""
+    is the integral up to edges[j], offsets[-1] the one up to the right end.
+    An antiderivative is a Chebyshev series (coef, off, scl) on the map
+    u = off + scl*x, read by `_clenshaw`, or the callable `_R_inner`."""
     edges, antis, offsets = pieces
     idx = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, len(antis) - 1)
+    counts = np.bincount(idx, minlength=len(antis))
     out = np.empty_like(xs)
+    work = np.empty((5, xs.size))
     for j, anti in enumerate(antis):
-        sel = idx == j
-        if sel.any():
-            out[sel] = offsets[j] + anti(xs[sel])
+        k = int(counts[j])
+        if k == 0:
+            continue
+        sel = None if k == xs.size else idx == j
+        if callable(anti):
+            vals = anti(xs if sel is None else xs[sel])
+        else:
+            coef, off, scl = anti
+            u = work[4, :k]
+            if sel is None:
+                np.multiply(xs, scl, out=u)
+            else:
+                np.multiply(np.compress(sel, xs, out=u), scl, out=u)
+            np.add(u, off, out=u)
+            vals = _clenshaw(coef, u, work[:4, :k])
+        if sel is None:
+            np.add(vals, offsets[j], out=out)
+        else:
+            out[sel] = offsets[j] + vals
     return out
 
 
@@ -463,7 +508,8 @@ class StationarySolution:
                 break
             prev = err
         if err <= rtol * scale:
-            anti = interp.integ(lbnd=a)
+            integ = interp.integ(lbnd=a)
+            anti = (integ.coef, *(float(v) for v in integ.mapparms()))
         elif a == 0.0 and b <= _SLIVER * self.alpha_lambda:
             anti = self._R_inner
         elif depth == _SPLIT_DEPTH:
@@ -478,7 +524,7 @@ class StationarySolution:
         edges, antis, offsets = pieces
         edges.append(a)
         antis.append(anti)
-        offsets.append(offsets[-1] + float(anti(np.array([b]))[0]))
+        offsets.append(offsets[-1] + float(_eval_pieces(([a], [anti], [0.0]), np.array([b]))[0]))
 
     def _R(self, xs: np.ndarray) -> np.ndarray:
         """Antiderivative of the inner remainder r, continuous on [lo, A]."""

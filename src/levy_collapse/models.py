@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .errors import ModelError, QuadratureFailure
 
@@ -74,10 +73,14 @@ def _upper_gamma(a: float, z: float) -> float:
     z <= _EXP_UNDERFLOW, |a| <= ~12 range used here stays well inside double
     precision of the tiny values involved.
     """
+    # imported here so that simulation never loads scipy.special; once it is
+    # loaded, this form costs no more per call than a module-level import
+    import scipy.special
+
     if a > 0.0:
-        return math.gamma(a) * special.gammaincc(a, z)
+        return math.gamma(a) * scipy.special.gammaincc(a, z)
     m = int(math.floor(-a)) + 1  # smallest shift with a + m > 0
-    val = math.gamma(a + m) * special.gammaincc(a + m, z)
+    val = math.gamma(a + m) * scipy.special.gammaincc(a + m, z)
     ez = math.exp(-z)
     for j in range(m - 1, -1, -1):
         b = a + j
@@ -271,7 +274,9 @@ class Pareto:
             return (-1.0) ** n * xm**n * val
         c = n - d
         if c > 0.0:
-            g = math.gamma(c) * special.gammaincc(c, s0)
+            import scipy.special
+
+            g = math.gamma(c) * scipy.special.gammaincc(c, s0)
             return (-1.0) ** n * d * xm**d * alpha ** (d - n) * g
         # order below delta: finite limit (-1)^n moment(n) as alpha -> 0
         if s0 < 1e-250:

@@ -120,6 +120,26 @@ def _run_pools(cfg: RunConfig) -> List[simulate.SamplePool]:
         return list(pool.map(_replicate, jobs))
 
 
+# summary rows of the moment estimates, by order
+_MOMENT_ROWS = {"mean": 1, "moment2": 2, "moment3": 3, "moment4": 4}
+
+
+def _summary_rows(pool: simulate.SamplePool, model) -> list:
+    """The pool's summary without finite estimates of infinite quantities:
+    order n reads inf (stderr nan) where the n-th cumulant of the input is
+    infinite, so is the stationary n-th moment, and its stderr reads nan
+    where the 2n-th is, the variance of the estimate then being infinite."""
+    rows = []
+    for stat, value, se in pool.summary():
+        n = _MOMENT_ROWS.get(stat)
+        if n is not None and math.isinf(model.cumulant(n)):
+            value, se = math.inf, math.nan
+        elif n is not None and math.isinf(model.cumulant(2 * n)):
+            se = math.nan
+        rows.append((stat, value, se))
+    return rows
+
+
 def run_simulate(cfg: RunConfig) -> List[str]:
     """One engine run (possibly fanned over replications) with CSV dumps."""
     cfg.seed()  # fail before any work if the seed is missing
@@ -138,7 +158,7 @@ def run_simulate(cfg: RunConfig) -> List[str]:
         write_csv(os.path.join(out, "samples.csv"), ("replicate", "n", "zeta"),
                   sample_rows()),
         write_csv(os.path.join(out, "summary.csv"), ("stat", "value", "stderr"),
-                  merged.summary()),
+                  _summary_rows(merged, cfg.model)),
     ]
 
 

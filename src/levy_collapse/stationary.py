@@ -39,7 +39,6 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 from numpy.polynomial.legendre import leggauss
-from scipy import special
 
 from .errors import (DomainError, ModelError, QuadratureFailure,
                      SubordinatorInput)
@@ -172,7 +171,9 @@ def _alpha_root(model: LevyModel, lam: float) -> float:
 @lru_cache(maxsize=64)
 def _jacobi_rule(n: int, expo: float) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes/weights so that int_0^1 s^expo u(s) ds = sum W u(S)."""
-    x, w = special.roots_jacobi(n, expo, 0.0)
+    import scipy.special
+
+    x, w = scipy.special.roots_jacobi(n, expo, 0.0)
     return (1.0 - x) / 2.0, w * 2.0 ** (-expo - 1.0)
 
 
@@ -184,7 +185,9 @@ def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=4)
 def _laguerre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    return special.roots_laguerre(n)
+    import scipy.special
+
+    return scipy.special.roots_laguerre(n)
 
 
 def _clenshaw(coef: np.ndarray, u: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -489,38 +492,45 @@ class StationarySolution:
         points. A rung that gains less than _RUNG_GAIN over the previous one
         means this width holds more than one scale or sits on a noise
         plateau, so the interval is cut: 1/8 of its width from an endpoint
-        that is the worst probe, else at its midpoint. A failing [0, b] with
-        b <= _SLIVER * root is the kink of a jump transform with a branch
-        point at zero and is left to _R_inner.
+        that is the worst probe, else at its midpoint. An accepted rung is
+        chopped to its measured error before it is integrated: trailing
+        coefficients whose absolute sum is at most min(err, rtol*scale - err)
+        are dropped (Aurentz & Trefethen, "Chopping a Chebyshev series"). A
+        piece [0, b] with b <= _SLIVER * root holds the kink of a jump
+        transform with a branch point at zero and goes to _R_inner at once.
         """
-        def batch(xs):
-            return np.array([fun(float(t)) for t in np.atleast_1d(xs)])
-
-        probes = a + (b - a) * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 29)))
-        direct = batch(probes)
-        scale = max(1.0, float(np.max(np.abs(direct))))
-        prev = math.inf
-        for deg in degrees:
-            interp = Chebyshev.interpolate(batch, deg, domain=[a, b])
-            miss = np.abs(interp(probes) - direct)
-            err = float(np.max(miss))
-            if err <= rtol * scale or not err * _RUNG_GAIN <= prev:
-                break
-            prev = err
-        if err <= rtol * scale:
-            integ = interp.integ(lbnd=a)
-            anti = (integ.coef, *(float(v) for v in integ.mapparms()))
-        elif a == 0.0 and b <= _SLIVER * self.alpha_lambda:
+        if a == 0.0 and b <= _SLIVER * self.alpha_lambda:
             anti = self._R_inner
-        elif depth == _SPLIT_DEPTH:
-            raise self._failure(f"{what} did not converge on a Chebyshev grid on "
-                                f"[{a:.6g}, {b:.6g}] after {depth} splits")
         else:
-            worst = int(np.argmax(miss))
-            cut = (a + (b - a) / 8.0 if worst == 0 else
-                   b - (b - a) / 8.0 if worst == len(probes) - 1 else 0.5 * (a + b))
-            self._build_pieces(fun, a, cut, what, degrees, rtol, pieces, depth + 1)
-            return self._build_pieces(fun, cut, b, what, degrees, rtol, pieces, depth + 1)
+            def batch(xs):
+                return np.array([fun(float(t)) for t in np.atleast_1d(xs)])
+
+            probes = a + (b - a) * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 29)))
+            direct = batch(probes)
+            scale = max(1.0, float(np.max(np.abs(direct))))
+            prev = math.inf
+            for deg in degrees:
+                interp = Chebyshev.interpolate(batch, deg, domain=[a, b])
+                miss = np.abs(interp(probes) - direct)
+                err = float(np.max(miss))
+                if err <= rtol * scale or not err * _RUNG_GAIN <= prev:
+                    break
+                prev = err
+            if not err <= rtol * scale:
+                if depth == _SPLIT_DEPTH:
+                    raise self._failure(f"{what} did not converge on a Chebyshev grid on "
+                                        f"[{a:.6g}, {b:.6g}] after {depth} splits")
+                worst = int(np.argmax(miss))
+                cut = (a + (b - a) / 8.0 if worst == 0 else
+                       b - (b - a) / 8.0 if worst == len(probes) - 1 else 0.5 * (a + b))
+                self._build_pieces(fun, a, cut, what, degrees, rtol, pieces, depth + 1)
+                return self._build_pieces(fun, cut, b, what, degrees, rtol, pieces, depth + 1)
+            # |T_k| <= 1, so the dropped tail moves the series by at most the
+            # budget anywhere on [a, b]: the probe error stays within the gate
+            budget = min(err, rtol * scale - err)
+            tail = np.cumsum(np.abs(interp.coef[::-1]))[::-1]
+            integ = interp.truncate(max(1, int(np.count_nonzero(tail > budget)))).integ(lbnd=a)
+            anti = (integ.coef, *(float(v) for v in integ.mapparms()))
         edges, antis, offsets = pieces
         edges.append(a)
         antis.append(anti)
@@ -860,7 +870,9 @@ def incomplete_beta(z: float, a1: float, a2: float) -> float:
         raise DomainError("z must lie in [0, 1]")
     if a1 <= 0 or a2 <= 0:
         raise DomainError("a1 and a2 must be positive")
-    return float(special.betainc(a1, a2, z)) * math.exp(special.betaln(a1, a2))
+    import scipy.special
+
+    return float(scipy.special.betainc(a1, a2, z)) * math.exp(scipy.special.betaln(a1, a2))
 
 
 def bm_roots(c: float, sigma2: float, lam: float) -> Tuple[float, float, float, float]:

@@ -256,6 +256,23 @@ def test_simulate_splits_replications(tmp_path):
     assert {r[0] for r in sample_rows} == {"0", "1"}
 
 
+def test_simulate_reports_no_finite_estimate_of_an_infinite_moment(tmp_path):
+    # Pareto delta = 1.5: the stationary mean is finite but its estimate has
+    # infinite variance, and every higher moment is infinite
+    text = MM1_TEXT.replace("model.jumps = exp\nmodel.mu = 2",
+                            "model.jumps = pareto\nmodel.delta = 1.5\nmodel.xm = 0.4")
+    cfg = parse_config(text + f"engine = path\nn_samples = 2000\nout = {tmp_path}\n")
+    run_simulate(cfg)
+    _, rows = read_csv(tmp_path / "summary.csv")
+    stats = {r[0]: (float(r[1]), float(r[2])) for r in rows}
+    mean, se = stats["mean"]
+    assert 0.0 < mean < math.inf and math.isnan(se)
+    for stat in ("moment2", "moment3", "moment4"):
+        value, se = stats[stat]
+        assert value == math.inf and math.isnan(se)
+    assert stats["zero_freq"][1] > 0.0
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from numpy.polynomial.chebyshev import Chebyshev, chebval
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -734,12 +735,22 @@ def test_negative_margin_stays_clear_of_the_pole():
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # only the near-integer Pareto fallback needs scipy.integrate, on first use
+    # only the near-integer Pareto fallback needs scipy.integrate, on first
+    # use; simulation and the tail constant never build a solution, so they
+    # do not load scipy.special either
     src = os.path.dirname(os.path.dirname(os.path.abspath(stationary.__file__)))
-    code = "import sys, levy_collapse; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    simulation = (
+        "import levy_collapse as lc; rng = lc.replication_rng(1, 0); "
+        "lc.embedded_chain_run(lc.CppMinusDrift(1.0, 1.0, lc.Exponential(2.0)), 1.0, "
+        "lc.Uniform01(), 10, 500, rng); "
+        "lc.path_simulate(lc.CppMinusDrift(1.0, 0.8, lc.Pareto(1.5, 1.0 / 3.0)), 1.0, "
+        "lc.Uniform01(), n_collapses=500, rng=rng); lc.tail_constant(0.8, 1.0, 1.5)")
+    for code, module in (("import levy_collapse", "scipy.integrate"),
+                         (simulation, "scipy.special")):
+        code += f"; import sys; print({module!r} in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False", module
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +799,65 @@ def test_remainder_pieces_split_only_where_needed():
     a = sol.alpha_lambda
     assert list(sol._inner[0]) == [0.0] + [0.5 * a / 8.0**k for k in range(5, -1, -1)]
     assert sol._inner[1][0] == sol._R_inner
+
+
+def _stored_pieces(sol):
+    """(fun, a, b, antiderivative, gate) for every stored Chebyshev piece,
+    the gate being the rtol * scale the builder accepted it at."""
+    A = sol.alpha_lambda
+    rtol_direct = max(2.5e-11, 4.0 * sol.K * sol._dA_est / sol._w**2)
+    for (edges, antis, _), fun, end in ((sol._inner, sol._left_integrand, sol._band_lo_x),
+                                        (sol._outer, sol._rho_above, 1.0)):
+        for a, b, anti in zip(edges, list(edges[1:]) + [end], antis):
+            if anti == sol._R_inner:
+                continue
+            rtol = 1e-11 if fun == sol._left_integrand and a < 0.5 * A else rtol_direct
+            probes = a + (b - a) * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 29)))
+            scale = max(1.0, max(abs(fun(float(x))) for x in probes))
+            yield fun, a, b, anti, rtol * scale
+
+
+@pytest.mark.parametrize("model", [BM, MM1, PARETO15, MIXTURE],
+                         ids=["bm", "mm1", "pareto1.5", "mixture"])
+def test_chopped_pieces_keep_their_accepted_error(model):
+    # the stored antiderivatives are chopped to the probe error their rung
+    # was accepted at; their derivative still matches the remainder within
+    # that gate on a fine grid of every piece
+    sol = stationary.StationarySolution(model, 1.0, 1.0)
+    for fun, a, b, (coef, off, scl), gate in _stored_pieces(sol):
+        assert (off, scl) == Chebyshev([0.0], domain=[a, b]).mapparms()
+        xs = np.linspace(a, b, 200)
+        stored = Chebyshev(coef, domain=[a, b]).deriv()(xs)
+        miss = max(abs(d - fun(float(x))) for d, x in zip(stored, xs))
+        assert miss <= gate, (a, b, miss, gate)
+    if model is BM:
+        # the middle piece converges at degree 64 (65 coefficients); its
+        # stored antiderivative holds one more than the chopped series
+        middle = sol._inner[1][1][0]
+        assert len(middle) - 1 < 65
+
+
+@seed(20261018)
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 300), st.floats(-1e3, 1e3), st.floats(-8.0, 3.0),
+       st.integers(1, 400), st.integers(0, 2**32 - 1))
+@example(1, 0.0, 0.0, 5, 0)
+@example(2, -3.0, -1.0, 7, 1)
+@example(3, 2.0, 1.0, 9, 2)
+def test_clenshaw_kernel_equals_chebval_bit_for_bit(n, a, log_width, m, key):
+    rng = np.random.default_rng(key)
+    coef = rng.standard_normal(n) * 10.0 ** rng.uniform(-16.0, 2.0, n)
+    b = a + 10.0**log_width
+    off, scl = Chebyshev(coef, domain=[a, b]).mapparms()
+    xs = rng.uniform(a, b, m)
+    u = off + scl * xs
+    expected = chebval(u, coef)
+    got = stationary._clenshaw(coef, u.copy(), np.empty((4, m)))
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    # the piece evaluator maps its points the same way
+    pieces = ([a], [(coef, float(off), float(scl))], [0.0])
+    got = stationary._eval_pieces(pieces, xs)
+    assert np.array_equal(got.view(np.uint64), (expected + 0.0).view(np.uint64))
 
 
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))

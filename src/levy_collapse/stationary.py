@@ -21,7 +21,8 @@ isolates the simple pole, the singular part
 K / (root - y), K = lam / (root * phi'(root)), integrates in closed form,
 and only the regular remainder r(y) is handled numerically. Away from the
 root r is sampled into Chebyshev antiderivatives, piecewise where one
-piece does not converge (the interval is split); inside a narrow band
+piece does not converge (the interval is split), and each stored series is
+chopped to the error its piece was accepted at; inside a narrow band
 around the root, where the direct formula turns into 0/0 and loses two
 digits per decade, r is replaced by its Taylor expansion (coefficients from
 a convolution recurrence on the derivatives of phi) and integrated in

@@ -33,31 +33,22 @@ from .models import (
     Uniform01,
     collapse_from_theta,
     cumulant,
-    jump_lst,
-    laplace_exponent,
-    laplace_exponent_deriv,
 )
 from .stationary import (
     StationarySolution,
     TransformGrid,
-    atom_at_zero,
     bm_closed_form_lst,
     bm_roots,
     find_alpha_lambda,
     fixed_point_residual,
-    g_function,
     incomplete_beta,
     level_crossing_p0,
     mm1_closed_form_lst,
     mm1_roots,
-    moments,
-    normalizer_b,
     onoff_mixture_lst,
     small_alpha_expansion_check,
-    stationary_lst,
     stationary_solution,
     tail_constant,
-    transform_grid,
     w_tau_lst,
     wx_joint_lst,
 )
@@ -75,7 +66,6 @@ from .simulate import (
     ks_statistic,
     lindley_step,
     loynes_run,
-    loynes_truncated_sample,
     path_simulate,
     replication_rng,
     sample_unit_increment,

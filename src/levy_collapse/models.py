@@ -29,10 +29,7 @@ __all__ = [
     "Beta1",
     "CollapseLaw",
     "collapse_from_theta",
-    "laplace_exponent",
-    "laplace_exponent_deriv",
     "cumulant",
-    "jump_lst",
 ]
 
 # Arguments with alpha*scale above this make exp(-alpha*x) underflow anyway.
@@ -576,6 +573,15 @@ class Sum:
 LevyModel = Union[BrownianDrift, CppMinusDrift, Sum]
 
 
+def cumulant(model: LevyModel, n: int) -> float:
+    """c_n = (-1)^n phi^(n)(0); +infinity when the jump moment diverges."""
+    if n < 0:
+        raise ModelError("cumulant order must be >= 0")
+    if n == 0:
+        return 0.0
+    return model.cumulant(n)
+
+
 # ---------------------------------------------------------------------------
 # collapse multiplier laws
 # ---------------------------------------------------------------------------
@@ -622,31 +628,3 @@ CollapseLaw = Union[Uniform01, Beta1]
 def collapse_from_theta(theta: float) -> CollapseLaw:
     return Uniform01() if theta == 1.0 else Beta1(theta)
 
-
-# ---------------------------------------------------------------------------
-# functional surface
-# ---------------------------------------------------------------------------
-
-
-def laplace_exponent(model: LevyModel, alpha: float) -> float:
-    """phi(alpha) = log E exp(-alpha X_1); convex with phi(0) = 0."""
-    return model.phi(alpha)
-
-
-def laplace_exponent_deriv(model: LevyModel, alpha: float) -> float:
-    """phi'(alpha); phi'(0) equals -E X_1."""
-    return model.phi_deriv(alpha)
-
-
-def cumulant(model: LevyModel, n: int) -> float:
-    """c_n = (-1)^n phi^(n)(0); +infinity when the jump moment diverges."""
-    if n < 0:
-        raise ModelError("cumulant order must be >= 0")
-    if n == 0:
-        return 0.0
-    return model.cumulant(n)
-
-
-def jump_lst(jumps: JumpDist, alpha: float) -> float:
-    """Jump size transform beta(alpha) = E exp(-alpha B)."""
-    return jumps.lst(alpha)

@@ -271,14 +271,14 @@ def _suite_simulation(cfg) -> list:
     rows.append(_row("sim.bm.mean", four_pi, pool.moment(1), 4 * pool.moment_se(1)))
     rows.append(_row("sim.bm.m2", 3.0, pool.moment(2), 4 * pool.moment_se(2)))
     (val, se), = simulate.empirical_lst(pool, (0.5,))
-    f05 = stationary.stationary_lst(_CANON_BM, 1.0, 1.0, 0.5)
+    f05 = stationary.stationary_solution(_CANON_BM, 1.0, 1.0).lst(0.5)
     rows.append(_row("sim.bm.lst_half", f05, val, 4 * se))
     rows.append(_row("sim.bm.zero_freq", 0.0, pool.zeros, 0.0))
     rng = simulate.replication_rng(cfg.seed(), 102)
     poolm = simulate.embedded_chain_run(_CANON_MM1, 1.0, uni, cfg.n_burn, n, rng)
     p0, se0 = poolm.zero_frequency()
     target = stationary.level_crossing_p0(
-        1.0, 1.0, stationary.normalizer_b(_CANON_MM1, 1.0, 1.0))
+        1.0, 1.0, stationary.stationary_solution(_CANON_MM1, 1.0, 1.0).b)
     rows.append(_row("sim.mm1.zero_freq", target, p0, 4 * se0))
     return rows
 

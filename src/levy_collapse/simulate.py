@@ -367,13 +367,12 @@ def has_exact_wl(model: LevyModel) -> bool:
 
 
 def _exact_wl(model: LevyModel, lam: float) -> Callable:
-    if isinstance(model, BrownianDrift) and model.sigma2 > 0:
+    if not has_exact_wl(model):
+        raise ModelError("no exact (W, L) sampler for this model; use the path engine")
+    if isinstance(model, BrownianDrift):
         return lambda rng, n: sample_wl_bm(model.c, model.sigma2, lam, rng, n)
-    if (isinstance(model, CppMinusDrift) and model.d > 0
-            and isinstance(model.jumps, Exponential)):
-        return lambda rng, n: sample_wl_mm1(model.d, model.gamma, model.jumps.mu,
-                                            lam, rng, n)
-    raise ModelError("no exact (W, L) sampler for this model; use the path engine")
+    return lambda rng, n: sample_wl_mm1(model.d, model.gamma, model.jumps.mu,
+                                        lam, rng, n)
 
 
 # ---------------------------------------------------------------------------
@@ -455,32 +454,6 @@ def embedded_chain_run(model: LevyModel, lam: float, collapse: CollapseLaw,
         if keep < m:
             pool.add(levels[max(keep, 0):], rng)
     return pool
-
-
-def loynes_truncated_sample(model: LevyModel, lam: float, collapse: CollapseLaw,
-                            eps_trunc: float = _EPS_TRUNC, *,
-                            rng: np.random.Generator) -> float:
-    """One stationary draw from the backward max-representation.
-
-    V0 plus the running maximum of the partial sums of (V_k U_k - Y_k)
-    discounted by the multiplier product so far; terms stop once that
-    product drops below eps_trunc, so eps_trunc = 1 returns V0 alone.
-    """
-    if not 0.0 < eps_trunc <= 1.0:
-        raise DomainError("eps_trunc must lie in (0, 1]")
-    draw = _exact_wl(model, lam)
-    v0, _ = draw(rng, None)
-    best = 0.0
-    tail = 0.0
-    pi = 1.0
-    while pi > eps_trunc:
-        v, y = draw(rng, None)
-        u = float(collapse.sample(rng, 1)[0])
-        tail += (v * u - y) * pi
-        if tail > best:
-            best = tail
-        pi *= u
-    return v0 + best
 
 
 def loynes_run(model: LevyModel, lam: float, collapse: CollapseLaw,

@@ -51,14 +51,8 @@ __all__ = [
     "wx_joint_lst",
     "StationarySolution",
     "stationary_solution",
-    "g_function",
-    "normalizer_b",
-    "stationary_lst",
-    "atom_at_zero",
-    "moments",
     "fixed_point_residual",
     "TransformGrid",
-    "transform_grid",
     "incomplete_beta",
     "bm_roots",
     "bm_closed_form_lst",
@@ -301,12 +295,11 @@ class StationarySolution:
 
     Construction performs all expensive work (root, Chebyshev antiderivatives
     of the regular exponent remainders, Gauss rules, normalizer b, atom).
-    Afterwards an instance only writes to two memos, `_pieces` (the scale-
-    free piece sums of collapse averages, see `_collapse_ladder`) and
-    `_inner_cache` (innermost remainder integrals of heavy-tailed models).
-    Both are bounded, write-once maps of deterministic values, so a thread
-    that races another at worst recomputes an entry and sharing instances
-    across threads is safe; module-level helpers cache them per parameter
+    Afterwards an instance only writes to one memo, `_pieces` (the scale-
+    free piece sums of collapse averages, see `_collapse_ladder`). It is a
+    bounded, write-once map of deterministic values, so a thread that races
+    another at worst recomputes an entry and sharing instances across
+    threads is safe; `stationary_solution` caches them per parameter
     triple.
     """
 
@@ -383,7 +376,6 @@ class StationarySolution:
         self._band_lo_x = A - self._w
         self._vw = self._w / (A + self._w)
 
-        self._inner_cache = {}
         rtol_direct = max(2.5e-11, 4.0 * self.K * self._dA_est / self._w**2)
         self._inner, self._outer = ([], [], [0.0]), ([], [], [0.0])
         self._build_pieces(self._left_integrand, lo, 0.5 * A, "inner remainder, left piece",
@@ -426,15 +418,8 @@ class StationarySolution:
         these widths (x <= 2^-16 * root).
         """
         T, W = _legendre_rule(64)
-        out = []
-        for x in xs.tolist():
-            hit = self._inner_cache.get(x)
-            if hit is None:
-                hit = x * float(W @ np.array([self._left_integrand(x * t) for t in T]))
-                if len(self._inner_cache) < 65536:
-                    self._inner_cache[x] = hit
-            out.append(hit)
-        return np.array(out)
+        return np.array([x * float(W @ np.array([self._left_integrand(x * t) for t in T]))
+                         for x in xs.tolist()])
 
     def _r_series(self, u: float) -> float:
         """Remainder below the root from the expansion, u = A - y."""
@@ -807,38 +792,6 @@ def stationary_solution(model: LevyModel, lam: float, theta: float = 1.0) -> Sta
     return StationarySolution(model, lam, theta)
 
 
-# ---------------------------------------------------------------------------
-# functional wrappers
-# ---------------------------------------------------------------------------
-
-
-def g_function(model: LevyModel, lam: float, theta: float, alpha: float) -> float:
-    """g(alpha) = int_0^alpha exp(-theta int_0^x h(y) dy) dx on [0, root]."""
-    return stationary_solution(model, lam, theta).g(alpha)
-
-
-def normalizer_b(model: LevyModel, lam: float, theta: float = 1.0) -> float:
-    """b = 1/g(alpha_lambda), the weight making the stationary transform 1 at 0."""
-    return stationary_solution(model, lam, theta).b
-
-
-def stationary_lst(model: LevyModel, lam: float, theta: float, alpha: float) -> float:
-    """E exp(-alpha Z*) for the stationary collapsed level Z*."""
-    if alpha < 0:
-        raise DomainError("alpha must be >= 0")
-    return stationary_solution(model, lam, theta).lst(alpha)
-
-
-def atom_at_zero(model: LevyModel, lam: float, theta: float = 1.0) -> float:
-    """P(Z* = 0): lam*b/((1+theta)*d) for drift-drained pure-jump inputs,
-    zero as soon as a Brownian part is present."""
-    return stationary_solution(model, lam, theta).atom
-
-
-def moments(model: LevyModel, lam: float, theta: float, n_max: int) -> list:
-    return stationary_solution(model, lam, theta).moments(n_max)
-
-
 def fixed_point_residual(model: LevyModel, lam: float, theta: float, alpha: float) -> float:
     """|f(alpha)(1 - phi(alpha)/lam) - E f(alpha U) + (alpha/root) E f(root U)|.
 
@@ -853,11 +806,6 @@ def fixed_point_residual(model: LevyModel, lam: float, theta: float, alpha: floa
     lhs = sol.lst(alpha) * (1.0 - model.phi(alpha) / lam)
     rhs = sol.mean_lst_collapsed(alpha) - (alpha / A) * sol.mean_lst_collapsed(A)
     return abs(lhs - rhs)
-
-
-def transform_grid(model: LevyModel, lam: float, theta: float,
-                   alphas: Sequence[float]) -> TransformGrid:
-    return stationary_solution(model, lam, theta).grid(alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -995,14 +943,15 @@ def small_alpha_expansion_check(model: LevyModel, lam: float,
     routes stay independent.
     """
     if not isinstance(model, CppMinusDrift) or not isinstance(model.jumps, Pareto):
-        raise ModelError("expansion check requires drift-drained Pareto jumps")
+        raise ModelError("expansion check requires drift-drained Pareto jumps"
+                         + _naming(model, lam))
     sol = stationary_solution(model, lam, 1.0)
     delta = model.jumps.delta
     mean_z = sol.b - 2.0 * (model.d - model.gamma * model.jumps.mean()) / lam
     out = []
     for a in alphas:
         if a <= 0:
-            raise DomainError("expansion grid must be positive")
+            raise DomainError("expansion grid must be positive" + _naming(model, lam))
         out.append((sol.lst(a) - 1.0 + mean_z * a) / a**delta)
     return out
 

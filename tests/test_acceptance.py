@@ -20,7 +20,6 @@ from levy_collapse import (
     StationarySolution,
     Sum,
     Uniform01,
-    atom_at_zero,
     bm_closed_form_lst,
     coupling_check,
     embedded_chain_run,
@@ -32,12 +31,9 @@ from levy_collapse import (
     ks_statistic,
     loynes_run,
     mm1_closed_form_lst,
-    moments,
-    normalizer_b,
     path_simulate,
     replication_rng,
     small_alpha_expansion_check,
-    stationary_lst,
     stationary_solution,
     tail_experiment,
 )
@@ -159,7 +155,7 @@ def test_criterion_06_atom_at_zero(acceptance):
     pool_mm1 = _shared[MM1]
     pool_bm = _shared[BM]
     p0, se0 = pool_mm1.zero_frequency()
-    target = 1.0 * normalizer_b(MM1, 1.0) / 2.0
+    target = 1.0 * stationary_solution(MM1, 1.0, 1.0).b / 2.0
     dev_sim = abs(p0 - target)
     far_devs = []
     for theta in (1.0, 2.0, 5.0):
@@ -167,7 +163,7 @@ def test_criterion_06_atom_at_zero(acceptance):
         far_devs.append(abs(sol.atom - sol.lst(1e4 * sol.alpha_lambda)))
     ok = (dev_sim <= 3.0 * se0 and pool_bm.zeros == 0
           and max(far_devs) <= 1e-3
-          and atom_at_zero(MM1, 1.0) == pytest.approx(target, rel=1e-12))
+          and stationary_solution(MM1, 1.0, 1.0).atom == pytest.approx(target, rel=1e-12))
     acceptance("6 zero atom: rate balance, simulation and far transform", ok,
                f"sim dev {dev_sim:.2e} vs 3se {3 * se0:.2e}, far {max(far_devs):.2e}")
     assert dev_sim <= 3.0 * se0

@@ -19,7 +19,7 @@ from levy_collapse import (
     Uniform01,
     ValidationError,
     parse_config,
-    stationary_lst,
+    stationary_solution,
 )
 from levy_collapse.cli import main
 from levy_collapse.runner import _fmt, run_analyze, run_simulate
@@ -178,7 +178,7 @@ def test_analyze_outputs(tmp_path):
     assert tags == ["below", "below", "at", "above"]
     for alpha, val, _ in rows:
         assert float(val) == pytest.approx(
-            stationary_lst(BrownianDrift(0.0, 2.0), 1.0, 1.0, float(alpha)),
+            stationary_solution(BrownianDrift(0.0, 2.0), 1.0, 1.0).lst(float(alpha)),
             abs=1e-13)
     header, rows = read_csv(os.path.join(tmp_path, "moments.csv"))
     assert [r[0] for r in rows] == ["0", "1", "2"]
@@ -410,3 +410,17 @@ def test_formatter_round_trips_doubles():
     assert _fmt(True) == "1"
     assert _fmt("label") == "label"
     assert _fmt(1.0) == "1"
+
+
+def test_readme_library_use_block_runs():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    section = text.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(code, scope)
+    sol = scope["sol"]
+    assert sol.alpha_lambda == pytest.approx(1.0, abs=1e-12)
+    assert sol.b == pytest.approx(4.0 / math.pi, rel=1e-12)
+    assert sol.atom == 0.0

@@ -17,9 +17,6 @@ from levy_collapse import (
     Sum,
     Uniform01,
     cumulant,
-    jump_lst,
-    laplace_exponent,
-    laplace_exponent_deriv,
     sample_unit_increment,
 )
 
@@ -40,35 +37,35 @@ CATALOG = (
 
 
 # ---------------------------------------------------------------------------
-# laplace_exponent / laplace_exponent_deriv
+# phi / phi_deriv
 # ---------------------------------------------------------------------------
 
 
 def test_exponent_is_zero_at_zero_for_every_model():
     for model in CATALOG:
-        assert laplace_exponent(model, 0.0) == 0.0
+        assert model.phi(0.0) == 0.0
 
 
 def test_exponent_matches_hand_values():
-    assert laplace_exponent(BM, 2.0) == pytest.approx(4.0, abs=1e-14)
+    assert BM.phi(2.0) == pytest.approx(4.0, abs=1e-14)
     # d*alpha - gamma*(1 - mu/(mu+alpha)) at alpha = 2
-    assert laplace_exponent(MM1, 2.0) == pytest.approx(1.5, abs=1e-14)
+    assert MM1.phi(2.0) == pytest.approx(1.5, abs=1e-14)
 
 
 def test_exponent_derivative_matches_hand_values():
-    assert laplace_exponent_deriv(BM, 1.0) == pytest.approx(2.0, abs=1e-14)
-    assert laplace_exponent_deriv(BrownianDrift(0.8, 1.0), 0.0) == pytest.approx(
+    assert BM.phi_deriv(1.0) == pytest.approx(2.0, abs=1e-14)
+    assert BrownianDrift(0.8, 1.0).phi_deriv(0.0) == pytest.approx(
         -0.8, abs=1e-15)
-    assert laplace_exponent_deriv(MM1, 0.0) == pytest.approx(0.5, abs=1e-14)
+    assert MM1.phi_deriv(0.0) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_exponent_derivative_agrees_with_differences():
     h = 1e-6
     for model in CATALOG[:5]:
         for alpha in (0.3, 1.0, 2.4):
-            fd = (laplace_exponent(model, alpha + h)
-                  - laplace_exponent(model, alpha - h)) / (2.0 * h)
-            assert laplace_exponent_deriv(model, alpha) == pytest.approx(
+            fd = (model.phi(alpha + h)
+                  - model.phi(alpha - h)) / (2.0 * h)
+            assert model.phi_deriv(alpha) == pytest.approx(
                 fd, rel=1e-7, abs=1e-7)
 
 
@@ -77,7 +74,7 @@ def test_exponent_is_convex_on_random_grids():
     for model in CATALOG:
         for _ in range(5):
             grid = np.sort(rng.uniform(0.0, 6.0, 30))
-            vals = np.array([laplace_exponent(model, a) for a in grid])
+            vals = np.array([model.phi(a) for a in grid])
             d1 = np.diff(vals) / np.diff(grid)
             mids = (grid[1:] + grid[:-1]) / 2.0
             d2 = np.diff(d1) / np.diff(mids)
@@ -86,8 +83,8 @@ def test_exponent_is_convex_on_random_grids():
 
 def test_sum_exponent_is_exact_sum_of_parts():
     for alpha in (0.0, 0.37, 1.0, 4.2):
-        parts = sum(laplace_exponent(p, alpha) for p in MIX.parts)
-        assert laplace_exponent(MIX, alpha) == parts
+        parts = sum(p.phi(alpha) for p in MIX.parts)
+        assert MIX.phi(alpha) == parts
 
 
 def test_exponent_matches_simulated_increments():
@@ -101,7 +98,7 @@ def test_exponent_matches_simulated_increments():
             se = e.std(ddof=1) / math.sqrt(e.size)
             est = math.log(m)
             tol = 4.0 * se / m  # delta method for log
-            assert abs(est - laplace_exponent(model, alpha)) <= tol
+            assert abs(est - model.phi(alpha)) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +129,7 @@ def test_heavy_tail_cumulants_are_infinite():
 def test_cumulants_match_differenced_exponent():
     # (-1)^n phi^(n)(0) by central differences, step 1e-3, one Richardson pass
     def fd(model, n, h):
-        pts = [laplace_exponent(model, k * h) for k in range(-3, 4)]
+        pts = [model.phi(k * h) for k in range(-3, 4)]
         if n == 1:
             return (pts[4] - pts[2]) / (2.0 * h)
         if n == 2:
@@ -149,22 +146,22 @@ def test_cumulants_match_differenced_exponent():
 
 
 # ---------------------------------------------------------------------------
-# jump_lst
+# jump transforms
 # ---------------------------------------------------------------------------
 
 
 def test_jump_transform_hand_values():
-    assert jump_lst(Exponential(3.0), 0.0) == 1.0
-    assert jump_lst(Exponential(2.0), 2.0) == pytest.approx(0.5, abs=1e-15)
-    assert jump_lst(Deterministic(1.0), 1.0) == pytest.approx(
+    assert Exponential(3.0).lst(0.0) == 1.0
+    assert Exponential(2.0).lst(2.0) == pytest.approx(0.5, abs=1e-15)
+    assert Deterministic(1.0).lst(1.0) == pytest.approx(
         math.exp(-1.0), abs=1e-15)
-    assert jump_lst(Erlang(2, 3.0), 1.0) == pytest.approx((3.0 / 4.0) ** 2, abs=1e-14)
+    assert Erlang(2, 3.0).lst(1.0) == pytest.approx((3.0 / 4.0) ** 2, abs=1e-14)
 
 
 def test_pareto_transform_matches_reference():
     jumps = Pareto(1.5, 1.0 / 3.0)
     for alpha, expected in ref.PARETO_LST.items():
-        assert jump_lst(jumps, alpha) == pytest.approx(expected, abs=1e-13)
+        assert jumps.lst(alpha) == pytest.approx(expected, abs=1e-13)
 
 
 def test_jump_transform_bounds_and_decay():
@@ -172,7 +169,7 @@ def test_jump_transform_bounds_and_decay():
     for jumps in (Exponential(2.0), Erlang(3, 1.5), Pareto(1.7, 0.4),
                   Deterministic(0.9)):
         grid = np.sort(rng.uniform(0.0, 8.0, 20))
-        vals = [jump_lst(jumps, a) for a in grid]
+        vals = [jumps.lst(a) for a in grid]
         assert all(0.0 < v <= 1.0 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -193,7 +190,7 @@ def test_jump_samples_match_mean_and_transform():
         assert abs(x.mean() - jumps.mean()) <= 4.0 * se + 1e-12
         e = np.exp(-0.7 * x)
         se = e.std(ddof=1) / math.sqrt(e.size)
-        assert abs(e.mean() - jump_lst(jumps, 0.7)) <= 4.0 * se + 1e-12
+        assert abs(e.mean() - jumps.lst(0.7)) <= 4.0 * se + 1e-12
 
 
 @pytest.mark.parametrize("jumps", (Deterministic(1.2), Deterministic(0.15),

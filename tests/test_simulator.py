@@ -37,13 +37,12 @@ from levy_collapse import (
     ks_statistic,
     lindley_step,
     loynes_run,
-    loynes_truncated_sample,
     mm1_roots,
     path_simulate,
     replication_rng,
     sample_wl_bm,
     sample_wl_mm1,
-    stationary_lst,
+    stationary_solution,
     tail_table,
     w_tau_lst,
 )
@@ -227,7 +226,7 @@ def test_embedded_chain_matches_transform_layer():
     assert abs(pool.moment(1) - 4.0 / math.pi) <= 4.0 * pool.moment_se(1)
     assert abs(pool.moment(2) - 3.0) <= 4.0 * pool.moment_se(2)
     for a, (val, se) in zip((0.5, 1.0), empirical_lst(pool, (0.5, 1.0))):
-        assert abs(val - stationary_lst(BM, 1.0, 1.0, a)) <= 4.0 * se
+        assert abs(val - stationary_solution(BM, 1.0, 1.0).lst(a)) <= 4.0 * se
 
 
 def test_embedded_chain_zero_atom_matches_exponential_case():
@@ -276,16 +275,12 @@ def test_backward_engine_matches_transform_layer():
     alphas = (0.25, 0.5, 1.0)
     pool = loynes_run(BM, 1.0, UNI, 100_000, rng, alphas=alphas)
     for a, (val, se) in zip(alphas, empirical_lst(pool, alphas)):
-        assert abs(val - stationary_lst(BM, 1.0, 1.0, a)) <= 4.0 * se
-    one = loynes_truncated_sample(BM, 1.0, UNI, rng=replication_rng(9, 9))
-    assert one >= 0.0
+        assert abs(val - stationary_solution(BM, 1.0, 1.0).lst(a)) <= 4.0 * se
 
 
 def test_backward_engine_validation():
     rng = replication_rng(1, 1)
     for eps in (0.0, -0.5, 1.5):
-        with pytest.raises(DomainError):
-            loynes_truncated_sample(BM, 1.0, UNI, eps, rng=rng)
         with pytest.raises(DomainError):
             loynes_run(BM, 1.0, UNI, 100, rng, eps_trunc=eps)
     with pytest.raises(DomainError):

@@ -30,25 +30,18 @@ from levy_collapse import (
     QuadratureFailure,
     SubordinatorInput,
     Sum,
-    atom_at_zero,
     bm_closed_form_lst,
     bm_roots,
     find_alpha_lambda,
     fixed_point_residual,
-    g_function,
     incomplete_beta,
-    laplace_exponent,
     level_crossing_p0,
     mm1_closed_form_lst,
     mm1_roots,
-    moments,
-    normalizer_b,
     onoff_mixture_lst,
     small_alpha_expansion_check,
-    stationary_lst,
     stationary_solution,
     tail_constant,
-    transform_grid,
     w_tau_lst,
     wx_joint_lst,
 )
@@ -102,7 +95,7 @@ def test_root_solves_the_equation():
         lam = rng.uniform(0.3, 3.0)
         a = find_alpha_lambda(BrownianDrift(c, s2), lam)
         assert a > 0
-        assert abs(laplace_exponent(BrownianDrift(c, s2), a) - lam) <= 1e-11 * lam
+        assert abs(BrownianDrift(c, s2).phi(a) - lam) <= 1e-11 * lam
 
 
 def test_nonincreasing_input_is_rejected():
@@ -180,23 +173,25 @@ def test_started_transform_total_mass_and_monotonicity():
 
 
 def test_g_endpoints_and_shape():
-    assert g_function(BM, 1.0, 1.0, 0.0) == 0.0
-    assert g_function(BM, 1.0, 1.0, 1.0) == pytest.approx(math.pi / 4.0, abs=1e-11)
-    assert g_function(BM, 1.0, 1.0, 1.0) == pytest.approx(ref.BM_G_1, abs=1e-11)
-    assert g_function(MM1, 1.0, 1.0, 1.0) == pytest.approx(ref.MM1_G_1, abs=1e-11)
+    sol = stationary_solution(BM, 1.0, 1.0)
+    assert sol.g(0.0) == 0.0
+    assert sol.g(1.0) == pytest.approx(math.pi / 4.0, abs=1e-11)
+    assert sol.g(1.0) == pytest.approx(ref.BM_G_1, abs=1e-11)
+    assert stationary_solution(MM1, 1.0, 1.0).g(1.0) == pytest.approx(ref.MM1_G_1, abs=1e-11)
     grid = np.linspace(0.0, 1.0, 17)
-    vals = [g_function(BM, 1.0, 1.0, a) for a in grid]
+    vals = [sol.g(a) for a in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     with pytest.raises(DomainError):
-        g_function(BM, 1.0, 1.0, 1.0 + 1e-6)
+        sol.g(1.0 + 1e-6)
 
 
 def test_g_slope_at_zero_is_one():
     # g'(0) = exp(-theta * 0) = 1; Richardson on central differences
     for model, lam, theta in ((BM, 1.0, 1.0), (ERLANG, 0.8, 2.0)):
+        sol = stationary_solution(model, lam, theta)
+
         def slope(h):
-            return (g_function(model, lam, theta, h)
-                    - g_function(model, lam, theta, 0.0)) / h
+            return (sol.g(h) - sol.g(0.0)) / h
         a, b = slope(1e-4), slope(5e-5)
         assert 2.0 * b - a == pytest.approx(1.0, abs=1e-6)
 
@@ -204,20 +199,20 @@ def test_g_slope_at_zero_is_one():
 def test_g_at_root_is_reciprocal_weight():
     for model, lam, theta in CASES[:6]:
         a = find_alpha_lambda(model, lam)
-        assert g_function(model, lam, theta, a) * normalizer_b(model, lam, theta) \
-            == pytest.approx(1.0, abs=1e-12)
+        sol = stationary_solution(model, lam, theta)
+        assert sol.g(a) * sol.b == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weight_frozen_values():
-    assert normalizer_b(BM, 1.0) == pytest.approx(4.0 / math.pi, rel=1e-12)
-    assert normalizer_b(BM, 1.0) == pytest.approx(ref.BM_B, rel=1e-11)
-    assert normalizer_b(MM1, 1.0) == pytest.approx(ref.MM1_B, rel=1e-11)
-    assert normalizer_b(ERLANG, 0.8, 2.0) == pytest.approx(ref.ERLANG_B, rel=1e-11)
-    assert normalizer_b(DETERM, 0.9) == pytest.approx(ref.DETERM_B, rel=1e-11)
-    assert normalizer_b(MIXTURE, 1.2) == pytest.approx(ref.MIXTURE_B, rel=1e-11)
-    assert normalizer_b(PARETO15, 1.0) == pytest.approx(ref.PARETO15_B, rel=1e-11)
-    assert normalizer_b(BM, 1.0, 5.0) == pytest.approx(ref.BM_TH5_B, rel=1e-11)
-    assert normalizer_b(BM, 1.0, 0.3) == pytest.approx(ref.BM_TH03_B, rel=1e-11)
+    assert stationary_solution(BM, 1.0, 1.0).b == pytest.approx(4.0 / math.pi, rel=1e-12)
+    assert stationary_solution(BM, 1.0, 1.0).b == pytest.approx(ref.BM_B, rel=1e-11)
+    assert stationary_solution(MM1, 1.0, 1.0).b == pytest.approx(ref.MM1_B, rel=1e-11)
+    assert stationary_solution(ERLANG, 0.8, 2.0).b == pytest.approx(ref.ERLANG_B, rel=1e-11)
+    assert stationary_solution(DETERM, 0.9, 1.0).b == pytest.approx(ref.DETERM_B, rel=1e-11)
+    assert stationary_solution(MIXTURE, 1.2, 1.0).b == pytest.approx(ref.MIXTURE_B, rel=1e-11)
+    assert stationary_solution(PARETO15, 1.0, 1.0).b == pytest.approx(ref.PARETO15_B, rel=1e-11)
+    assert stationary_solution(BM, 1.0, 5.0).b == pytest.approx(ref.BM_TH5_B, rel=1e-11)
+    assert stationary_solution(BM, 1.0, 0.3).b == pytest.approx(ref.BM_TH03_B, rel=1e-11)
 
 
 def test_space_rescaling_invariance():
@@ -231,10 +226,10 @@ def test_space_rescaling_invariance():
             a_orig / kappa, rel=1e-12)
         for frac in (0.25, 0.8, 1.6, 2.5):
             alpha = frac * a_orig
-            assert stationary_lst(scaled, 1.0, 1.0, alpha / kappa) == pytest.approx(
-                stationary_lst(orig, 1.0, 1.0, alpha), abs=1e-10)
-        m_orig = moments(orig, 1.0, 1.0, 2)
-        m_scaled = moments(scaled, 1.0, 1.0, 2)
+            assert stationary_solution(scaled, 1.0, 1.0).lst(alpha / kappa) == pytest.approx(
+                stationary_solution(orig, 1.0, 1.0).lst(alpha), abs=1e-10)
+        m_orig = stationary_solution(orig, 1.0, 1.0).moments(2)
+        m_scaled = stationary_solution(scaled, 1.0, 1.0).moments(2)
         assert m_scaled[1] == pytest.approx(kappa * m_orig[1], rel=1e-9)
         assert m_scaled[2] == pytest.approx(kappa**2 * m_orig[2], rel=1e-9)
 
@@ -246,35 +241,35 @@ def test_space_rescaling_invariance():
 
 def test_transform_is_one_at_zero():
     for model, lam, theta in CASES:
-        assert stationary_lst(model, lam, theta, 0.0) == 1.0
+        assert stationary_solution(model, lam, theta).lst(0.0) == 1.0
 
 
 def test_transform_brownian_hand_values():
     # at the root: b/(theta/A + phi'(A)/lam) = (4/pi)/(1 + 2) = 4/(3 pi)
-    assert stationary_lst(BM, 1.0, 1.0, 1.0) == pytest.approx(
+    assert stationary_solution(BM, 1.0, 1.0).lst(1.0) == pytest.approx(
         4.0 / (3.0 * math.pi), abs=1e-12)
     # below the root the closed reduction at alpha = 1/2
     want = 4.0 / math.pi * 0.75 ** (-1.5) * (math.pi / 6.0 - math.sqrt(3.0) / 8.0)
-    assert stationary_lst(BM, 1.0, 1.0, 0.5) == pytest.approx(want, abs=1e-12)
-    assert stationary_lst(BM, 1.0, 1.0, 0.5) == pytest.approx(
+    assert stationary_solution(BM, 1.0, 1.0).lst(0.5) == pytest.approx(want, abs=1e-12)
+    assert stationary_solution(BM, 1.0, 1.0).lst(0.5) == pytest.approx(
         ref.BM_F_HALF, abs=1e-11)
 
 
 def test_transform_frozen_below_root_values():
-    assert stationary_lst(MM1, 1.0, 1.0, 1.0) == pytest.approx(
+    assert stationary_solution(MM1, 1.0, 1.0).lst(1.0) == pytest.approx(
         ref.MM1_F_1, rel=1e-11)
-    assert stationary_lst(ERLANG, 0.8, 2.0, 0.5) == pytest.approx(
+    assert stationary_solution(ERLANG, 0.8, 2.0).lst(0.5) == pytest.approx(
         ref.ERLANG_F_HALF, rel=1e-11)
-    assert stationary_lst(DETERM, 0.9, 1.0, 0.7) == pytest.approx(
+    assert stationary_solution(DETERM, 0.9, 1.0).lst(0.7) == pytest.approx(
         ref.DETERM_F_07, rel=1e-11)
-    assert stationary_lst(MIXTURE, 1.2, 1.0, 0.8) == pytest.approx(
+    assert stationary_solution(MIXTURE, 1.2, 1.0).lst(0.8) == pytest.approx(
         ref.MIXTURE_F_08, rel=1e-11)
-    assert stationary_lst(PARETO15, 1.0, 1.0, 0.5) == pytest.approx(
+    assert stationary_solution(PARETO15, 1.0, 1.0).lst(0.5) == pytest.approx(
         ref.PARETO15_F_HALF, rel=1e-11)
 
 
 def test_transform_at_root_frozen_value():
-    assert stationary_lst(MM1, 1.0, 1.0, math.sqrt(2.0)) == pytest.approx(
+    assert stationary_solution(MM1, 1.0, 1.0).lst(math.sqrt(2.0)) == pytest.approx(
         ref.MM1_F_AT_ROOT, rel=1e-11)
 
 
@@ -284,7 +279,7 @@ def test_transform_above_root_pins_with_residual_guard():
     # independently verified values below it
     for name, model, lam in (("bm", BM, 1.0), ("mm1", MM1, 1.0)):
         for alpha, pinned in ref.REGRESSION_PINS[name]:
-            assert stationary_lst(model, lam, 1.0, alpha) == pytest.approx(
+            assert stationary_solution(model, lam, 1.0).lst(alpha) == pytest.approx(
                 pinned, rel=1e-10)
             assert fixed_point_residual(model, lam, 1.0, alpha) <= 1e-12
 
@@ -330,8 +325,6 @@ def test_transform_rejects_far_negative_alpha():
     sol = stationary_solution(BM, 1.0)
     with pytest.raises(DomainError):
         sol.lst(-1.0)
-    with pytest.raises(DomainError):
-        stationary_lst(BM, 1.0, 1.0, -1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +354,16 @@ def test_fixed_point_residual_small_on_grids():
 
 
 def test_atom_values():
-    assert atom_at_zero(BM, 1.0) == 0.0
-    assert atom_at_zero(MIXTURE, 1.2) == 0.0
-    atom = atom_at_zero(MM1, 1.0)
+    assert stationary_solution(BM, 1.0, 1.0).atom == 0.0
+    assert stationary_solution(MIXTURE, 1.2, 1.0).atom == 0.0
+    sol = stationary_solution(MM1, 1.0, 1.0)
+    atom = sol.atom
     assert atom == pytest.approx(ref.MM1_ATOM, rel=1e-11)
-    assert atom == pytest.approx(level_crossing_p0(1.0, 1.0, normalizer_b(MM1, 1.0)),
-                                 rel=1e-13)
+    assert atom == pytest.approx(level_crossing_p0(1.0, 1.0, sol.b), rel=1e-13)
     # general multiplier: lam * b_theta / ((1 + theta) d)
-    b3 = normalizer_b(MM1, 1.0, 3.0)
-    assert atom_at_zero(MM1, 1.0, 3.0) == pytest.approx(b3 / 4.0, rel=1e-13)
+    sol3 = stationary_solution(MM1, 1.0, 3.0)
+    b3 = sol3.b
+    assert sol3.atom == pytest.approx(b3 / 4.0, rel=1e-13)
 
 
 def test_atom_matches_far_transform_limit():
@@ -387,21 +381,21 @@ def test_atom_matches_far_transform_limit():
 
 
 def test_moment_recursion_hand_and_frozen_values():
-    m = moments(BM, 1.0, 1.0, 2)
+    m = stationary_solution(BM, 1.0, 1.0).moments(2)
     assert m[0] == 1.0
     # zero drift: E Z* = b; second order: (3/2) sigma2 / lam
     assert m[1] == pytest.approx(4.0 / math.pi, abs=1e-8)
     assert m[2] == pytest.approx(3.0, abs=1e-8)
-    m = moments(MM1, 1.0, 1.0, 2)
+    m = stationary_solution(MM1, 1.0, 1.0).moments(2)
     assert m[1] == pytest.approx(ref.MM1_M1, abs=5e-10)
     assert m[2] == pytest.approx(ref.MM1_M2, abs=5e-10)
-    m = moments(ERLANG, 0.8, 2.0, 2)
+    m = stationary_solution(ERLANG, 0.8, 2.0).moments(2)
     assert m[1] == pytest.approx(ref.ERLANG_M1, abs=5e-10)
     assert m[2] == pytest.approx(ref.ERLANG_M2, abs=5e-10)
 
 
 def test_heavy_tail_moments():
-    m = moments(PARETO15, 1.0, 1.0, 3)
+    m = stationary_solution(PARETO15, 1.0, 1.0).moments(3)
     assert m[1] == pytest.approx(ref.PARETO15_MEAN, abs=1e-9)
     assert m[2] == math.inf
     assert m[3] == math.inf
@@ -428,9 +422,10 @@ def test_moments_match_transform_derivatives():
 
 
 def test_moment_order_validation():
+    sol = stationary_solution(BM, 1.0, 1.0)
     with pytest.raises(DomainError):
-        moments(BM, 1.0, 1.0, -1)
-    assert moments(BM, 1.0, 1.0, 0) == [1.0]
+        sol.moments(-1)
+    assert sol.moments(0) == [1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +452,7 @@ def test_root_pair_decompositions():
         y1, y2, d1, d2 = bm_roots(c, s2, lam)
         assert y1 > 0.0 > y2
         assert d1 + d2 == pytest.approx(1.0, abs=5e-16)
-        assert abs(lam - laplace_exponent(BrownianDrift(c, s2), y1)) <= 1e-10 * lam
+        assert abs(lam - BrownianDrift(c, s2).phi(y1)) <= 1e-10 * lam
 
         d = rng.uniform(0.5, 2.5)
         gam = rng.uniform(0.2, 2.0)
@@ -468,13 +463,13 @@ def test_root_pair_decompositions():
         assert f1 + f2 == pytest.approx(1.0, abs=5e-16)
         assert 0.0 < -z2 < mu  # the negative root stays inside the jump pole
         model = CppMinusDrift(d, gam, Exponential(mu))
-        assert abs(lam - laplace_exponent(model, z1)) <= 1e-10 * lam
+        assert abs(lam - model.phi(z1)) <= 1e-10 * lam
 
 
 def test_dual_route_agreement_brownian():
     a = find_alpha_lambda(BM, 1.0)
     for alpha in np.linspace(0.0, 0.95 * a, 50):
-        direct = stationary_lst(BM, 1.0, 1.0, float(alpha))
+        direct = stationary_solution(BM, 1.0, 1.0).lst(float(alpha))
         closed = bm_closed_form_lst(0.0, 2.0, 1.0, float(alpha))
         assert abs(direct - closed) <= 1e-8
 
@@ -482,7 +477,7 @@ def test_dual_route_agreement_brownian():
 def test_dual_route_agreement_exponential_jumps():
     a = find_alpha_lambda(MM1, 1.0)
     for alpha in np.linspace(0.0, 0.95 * a, 50):
-        direct = stationary_lst(MM1, 1.0, 1.0, float(alpha))
+        direct = stationary_solution(MM1, 1.0, 1.0).lst(float(alpha))
         closed = mm1_closed_form_lst(1.0, 1.0, 2.0, 1.0, float(alpha))
         assert abs(direct - closed) <= 1e-8
 
@@ -534,6 +529,15 @@ def test_small_alpha_expansion():
         small_alpha_expansion_check(PARETO15, 1.0, (0.0,))
 
 
+def test_small_alpha_expansion_errors_name_the_model():
+    with pytest.raises(ModelError) as err:
+        small_alpha_expansion_check(MM1, 0.7, (1e-3,))
+    assert str(err.value).endswith(f": {MM1!r}, lambda=0.7")
+    with pytest.raises(DomainError) as err:
+        small_alpha_expansion_check(PARETO15, 1.0, (0.0,))
+    assert str(err.value).endswith(f": {PARETO15!r}, lambda=1")
+
+
 def test_onoff_mixture():
     for alpha in (0.0, 0.5, 2.0):
         assert onoff_mixture_lst(MM1, 1.0, 2.0, 3.0, 0.0) == 1.0
@@ -545,7 +549,7 @@ def test_onoff_mixture():
         want, abs=1e-12)
     # fast regime switching washes the off periods out
     for alpha in (0.4, 1.0):
-        plain = stationary_lst(MM1, 1.0, 1.0, alpha)
+        plain = stationary_solution(MM1, 1.0, 1.0).lst(alpha)
         assert abs(onoff_mixture_lst(MM1, 1.0, 1e6, 1e6, alpha) - plain) <= 1e-3
     for bad in ((0.0, 1.0, 0.5), (1.0, -1.0, 0.5), (1.0, 1.0, -0.5)):
         with pytest.raises(DomainError):
@@ -558,7 +562,7 @@ def test_onoff_mixture():
 
 
 def test_transform_grid_contents():
-    grid = transform_grid(BM, 1.0, 1.0, (0.0, 0.5, 1.0, 2.0))
+    grid = stationary_solution(BM, 1.0, 1.0).grid((0.0, 0.5, 1.0, 2.0))
     sol = stationary_solution(BM, 1.0)
     assert grid.alphas == (0.0, 0.5, 1.0, 2.0)
     assert grid.branch_tags == ("below", "below", "at", "above")
@@ -569,7 +573,7 @@ def test_transform_grid_contents():
 def test_transform_grid_validation():
     for bad in ((), (0.5, 0.5), (1.0, 0.5), (-0.1, 0.5)):
         with pytest.raises(DomainError):
-            transform_grid(BM, 1.0, 1.0, bad)
+            stationary_solution(BM, 1.0, 1.0).grid(bad)
 
 
 def test_solution_cache_returns_same_object():
@@ -729,7 +733,7 @@ def test_negative_margin_stays_clear_of_the_pole():
     lam, theta = 0.03596, 4.745
     sol = stationary_solution(model, lam, theta)
     assert sol._lo < 0.0
-    assert laplace_exponent(model, sol._lo) <= 0.5 * lam
+    assert model.phi(sol._lo) <= 0.5 * lam
     alpha = 1.5 * sol.alpha_lambda
     assert fixed_point_residual(model, lam, theta, alpha) <= 1e-12
 

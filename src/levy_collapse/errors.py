@@ -18,7 +18,7 @@ class DomainError(LevyCollapseError, ValueError):
 
 
 class QuadratureFailure(LevyCollapseError, ArithmeticError):
-    """Adaptive integration could not reach the requested tolerance."""
+    """A numerical rule could not reach the requested tolerance."""
 
 
 class EmptyPool(LevyCollapseError, ValueError):

@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ModelError, QuadratureFailure
+from .errors import ModelError
 
 __all__ = [
     "Exponential",
@@ -35,41 +35,49 @@ __all__ = [
 # Arguments with alpha*scale above this make exp(-alpha*x) underflow anyway.
 _EXP_UNDERFLOW = 700.0
 
-# tail indices closer to an integer than this fall back to quadrature: the
-# incomplete-gamma forms divide by (k - delta) and lose one digit per decade
+# Gamma(c) z^-c and the k = m term of the incomplete-gamma series both have a
+# pole at c = -m; within this distance of it they are summed as one pole-free
+# term (_gamma_series), and the upper-gamma recurrence, which divides by the
+# distance, gives way to a continued fraction (_upper_gamma)
 _NEAR_INT_DELTA = 1e-3
 
+# zeta(2), ..., zeta(6): lgamma(1+e)/e = -euler_gamma + sum_k (-1)^k zeta(k) e^(k-1)/k
+# to double precision for |e| <= _NEAR_INT_DELTA
+_ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381,
+         1.03692775514337, 1.0173430619844492)
 
-def _require(cond: bool, msg: str) -> None:
+
+def _require(cond: bool, msg: str, obj) -> None:
     if not cond:
-        raise ModelError(msg)
-
-
-def _quad(fun, a, b, *, epsabs=1e-13, epsrel=1e-12, limit=200, points=None):
-    """scipy.integrate.quad with failure promotion to QuadratureFailure.
-
-    Only near-integer Pareto tails need it, so scipy.integrate (most of the
-    package's import time) is imported on first use.
-    """
-    from scipy import integrate
-
-    out = integrate.quad(fun, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
-                         points=points, full_output=1)
-    val, abserr = out[0], out[1]
-    if len(out) > 3 and abserr > max(1e3 * epsabs, 1e-7 * (abs(val) + 1.0)):
-        raise QuadratureFailure(f"integral on [{a}, {b}] did not converge: {out[3]}")
-    return val
+        raise ModelError(f"{msg}: {obj!r}")
 
 
 def _upper_gamma(a: float, z: float) -> float:
-    """Upper incomplete gamma Gamma(a, z) for z > 0 and real non-integer a.
+    """Upper incomplete gamma Gamma(a, z) for z > 0 and real a.
 
     scipy's regularized gammaincc only accepts a > 0; negative orders follow
     from the downward recurrence Gamma(a, z) = (Gamma(a+1, z) - z^a e^-z) / a.
     Each step cancels at most ~z/|a| of the leading digits, which for the
     z <= _EXP_UNDERFLOW, |a| <= ~12 range used here stays well inside double
-    precision of the tiny values involved.
+    precision of the tiny values involved. Within _NEAR_INT_DELTA of a
+    non-positive integer the recurrence divides by that distance, so
+    Legendre's continued fraction (DLMF 8.9.2, modified Lentz) takes over;
+    it converges fast for z > 2 but costs twice the recurrence.
     """
+    n = round(a)
+    if n <= 0 and abs(a - n) <= _NEAR_INT_DELTA:
+        b = z + 1.0 - a
+        d = 1.0 / b
+        c, h = 1e300, d
+        for i in range(1, 200):  # at most 66 steps for z > 2, |a| <= 12
+            an = -i * (i - a)
+            b += 2.0
+            d = 1.0 / (an * d + b)
+            c = b + an / c
+            h *= c * d
+            if abs(c * d - 1.0) < 1e-16:
+                break
+        return z**a * math.exp(-z) * h
     # imported here so that simulation never loads scipy.special; once it is
     # loaded, this form costs no more per call than a module-level import
     import scipy.special
@@ -85,17 +93,32 @@ def _upper_gamma(a: float, z: float) -> float:
     return val
 
 
-def _expint_series(c: float, z: float, kmin: int = 0) -> float:
-    """sum_{k>=kmin} (-z)^k / (k! (k+c)), the entire part of z^-c Gamma(c, z).
+def _gamma_series(c: float, z: float, kmin: int = 0) -> float:
+    """Gamma(c) z^-c - sum_{k>=kmin} (-z)^k / (k! (k+c)); z^-c Gamma(c, z) at kmin = 0.
 
     Converges like the exponential series; intended for z <= ~2 where fewer
-    than 30 terms reach double precision.
+    than 30 terms reach double precision. Near c = -m + e with m >= kmin,
+    Gamma(c) z^-c and the k = m term share the pole 1/e, and their sum is
+    the pole-free (-z)^m/m! * expm1(e r)/e with
+        r = lgamma(1+e)/e - log z - sum_{j=1..m} log1p(-e/j)/e.
     """
-    total = 0.0
+    m = round(-c)
+    e = c + m
+    merged = m >= kmin and abs(e) <= _NEAR_INT_DELTA
+    if merged:
+        # lgamma(1+e)/e by its Taylor series: the quotient itself would lose
+        # log10(1/|e|) digits
+        r = sum((-1) ** k * zeta * e ** (k - 1) / k for k, zeta in enumerate(_ZETA, 2))
+        r -= np.euler_gamma + math.log(z)
+        for j in range(1, m + 1):
+            r -= math.log1p(-e / j) / e if e else -1.0 / j
+        total = (-z) ** m / math.factorial(m) * (math.expm1(e * r) / e if e else r)
+    else:
+        total = math.gamma(c) * z ** -c
     term = 1.0  # (-z)^k / k!
     for k in range(60):
-        if k >= kmin:
-            total += term / (k + c)
+        if k >= kmin and not (merged and k == m):
+            total -= term / (k + c)
         term *= -z / (k + 1)
         if k + 1 >= kmin and abs(term) < 1e-25 * (abs(total) + 1e-300):
             break
@@ -129,7 +152,7 @@ class Exponential:
     mu: float
 
     def __post_init__(self):
-        _require(self.mu > 0, "Exponential jumps need rate mu > 0")
+        _require(self.mu > 0, "Exponential jumps need rate mu > 0", self)
 
     def lst(self, alpha: float) -> float:
         return self.mu / (self.mu + alpha)
@@ -171,8 +194,8 @@ class Erlang:
 
     def __post_init__(self):
         _require(isinstance(self.shape, int) and self.shape >= 1,
-                 "Erlang shape must be an integer >= 1")
-        _require(self.rate > 0, "Erlang rate must be > 0")
+                 "Erlang shape must be an integer >= 1", self)
+        _require(self.rate > 0, "Erlang rate must be > 0", self)
 
     def lst(self, alpha: float) -> float:
         return math.exp(-self.shape * math.log1p(alpha / self.rate))
@@ -223,65 +246,45 @@ class Pareto:
     delta must exceed 1 so the jumps have finite mean. The transform is the
     incomplete-gamma identity lst = delta*(alpha*xm)^delta * Gamma(-delta, alpha*xm),
     evaluated by a power series for small arguments and a downward gamma
-    recurrence otherwise. Tail indices within _NEAR_INT_DELTA of an integer
-    sit too close to the poles of those formulas and fall back to adaptive
-    quadrature after the substitution x = xm/(1-t).
+    recurrence otherwise. Both remove the poles at integer tail indices
+    themselves (see _NEAR_INT_DELTA), so every delta takes the same path.
     """
 
     delta: float
     xm: float
 
     def __post_init__(self):
-        _require(self.delta > 1, "Pareto tail index delta must be > 1 (finite mean)")
-        _require(self.xm > 0, "Pareto scale xm must be > 0")
-
-    def _near_integer(self) -> bool:
-        return abs(self.delta - round(self.delta)) <= _NEAR_INT_DELTA
+        _require(self.delta > 1, "Pareto tail index delta must be > 1 (finite mean)", self)
+        _require(self.xm > 0, "Pareto scale xm must be > 0", self)
 
     def lst(self, alpha: float) -> float:
-        if alpha == 0.0:
-            return 1.0
         if alpha < 0.0:
             raise ModelError("Pareto transform diverges for alpha < 0")
-        s0 = alpha * self.xm
+        s0 = alpha * self.xm  # 0 also when a subnormal alpha underflows
+        if s0 == 0.0:
+            return 1.0
         if s0 > _EXP_UNDERFLOW:
             return 0.0
         d = self.delta
-        if self._near_integer():
-            return _quad(lambda t: d * (1.0 - t) ** (d - 1.0) * math.exp(-s0 / (1.0 - t)),
-                         0.0, 1.0)
         if s0 <= 2.0:
-            return -math.gamma(1.0 - d) * s0**d - d * _expint_series(-d, s0)
+            return d * _gamma_series(-d, s0)
         return d * s0**d * _upper_gamma(-d, s0)
 
     def lst_deriv(self, alpha: float, order: int = 1) -> float:
-        if alpha <= 0.0:
-            if alpha < 0.0:
-                raise ModelError("Pareto transform diverges for alpha < 0")
+        if alpha < 0.0:
+            raise ModelError("Pareto transform diverges for alpha < 0")
+        s0 = alpha * self.xm
+        if s0 == 0.0:
             if order < self.delta:
                 return (-1.0) ** order * self.moment(order)
             raise ModelError(f"Pareto transform derivative of order {order} diverges at 0")
-        s0 = alpha * self.xm
         if s0 > _EXP_UNDERFLOW:
             return 0.0
         d, xm, n = self.delta, self.xm, order
-        if self._near_integer():
-            val = _quad(lambda t: d * (1.0 - t) ** (d - 1.0 - n) * math.exp(-s0 / (1.0 - t)),
-                        0.0, 1.0)
-            return (-1.0) ** n * xm**n * val
-        c = n - d
-        if c > 0.0:
-            import scipy.special
-
-            g = math.gamma(c) * scipy.special.gammaincc(c, s0)
-            return (-1.0) ** n * d * xm**d * alpha ** (d - n) * g
-        # order below delta: finite limit (-1)^n moment(n) as alpha -> 0
-        if s0 < 1e-250:
-            return (-1.0) ** n * self.moment(n)
+        # (-1)^n E B^n exp(-alpha B) = (-1)^n d xm^n s0^(d-n) Gamma(n-d, s0)
         if s0 <= 2.0:
-            val = d * xm**d * alpha ** (d - n) * math.gamma(c) - d * xm**n * _expint_series(c, s0)
-            return (-1.0) ** n * val
-        return (-1.0) ** n * d * xm**d * alpha ** (d - n) * _upper_gamma(c, s0)
+            return (-1.0) ** n * d * xm**n * _gamma_series(n - d, s0)
+        return (-1.0) ** n * d * xm**d * alpha ** (d - n) * _upper_gamma(n - d, s0)
 
     def one_minus_lst(self, alpha: float) -> float:
         if alpha == 0.0:
@@ -303,45 +306,23 @@ class Pareto:
         exactly, so the sum starts at k=2 and every retained digit is real.
         That is what makes small-alpha regular-variation checks meaningful.
         """
-        if alpha == 0.0:
-            return 0.0
         if alpha < 0.0:
             raise ModelError("Pareto transform diverges for alpha < 0")
         s0 = alpha * self.xm
-        d = self.delta
-        if self._near_integer():
-            return self._excess_quad(s0)
+        if s0 == 0.0:
+            return 0.0
         if s0 > _EXP_UNDERFLOW:
             return self.mean() * alpha - 1.0
         if s0 <= 2.0:
-            return -math.gamma(1.0 - d) * s0**d - d * _expint_series(-d, s0, kmin=2)
+            return self.delta * _gamma_series(-self.delta, s0, kmin=2)
         # lst is tiny and mean*alpha > 2 here, so the direct form is safe
         return self.lst(alpha) - 1.0 + self.mean() * alpha
 
-    def _excess_quad(self, s0: float) -> float:
-        d = self.delta
-
-        def body(s):
-            if s < 1e-4:
-                return (0.5 * s * s - s**3 / 6.0 + s**4 / 24.0) * s ** (-d - 1.0)
-            return (math.exp(-s) - 1.0 + s) * s ** (-d - 1.0)
-
-        cut = max(1.0, s0)
-        val = _quad(body, cut, math.inf)
-        if s0 < cut:
-            # s = s0*exp(v) spreads the s^(1-delta) spike at the lower end
-            # into a bounded integrand; without it the integral is slowly
-            # convergent for delta > 2
-            val += _quad(lambda v: body(s0 * math.exp(v)) * s0 * math.exp(v),
-                         0.0, math.log(cut / s0))
-        return d * s0**d * val
-
     def lst_abs_tol(self) -> float:
+        # gamma-form roundoff grows like 1/distance-to-pole until the
+        # pole-free forms take over
         dist = abs(self.delta - round(self.delta))
-        if dist <= _NEAR_INT_DELTA:
-            return 5e-13  # adaptive quadrature floor
-        # gamma-form roundoff grows like 1/distance-to-pole
-        return 4e-16 / min(1.0, dist)
+        return 4e-16 / min(1.0, max(dist, _NEAR_INT_DELTA))
 
     def min_alpha(self) -> float:
         return 0.0
@@ -358,7 +339,7 @@ class Deterministic:
     size: float
 
     def __post_init__(self):
-        _require(self.size > 0, "Deterministic jump size must be > 0")
+        _require(self.size > 0, "Deterministic jump size must be > 0", self)
 
     def lst(self, alpha: float) -> float:
         return math.exp(-alpha * self.size)
@@ -409,7 +390,7 @@ class BrownianDrift:
     sigma2: float
 
     def __post_init__(self):
-        _require(self.sigma2 >= 0, "sigma2 must be >= 0")
+        _require(self.sigma2 >= 0, "sigma2 must be >= 0", self)
 
     def phi(self, alpha: float) -> float:
         return alpha * (-self.c + 0.5 * self.sigma2 * alpha)
@@ -462,10 +443,10 @@ class CppMinusDrift:
     jumps: Union[JumpDist, None] = None
 
     def __post_init__(self):
-        _require(self.d >= 0, "drain rate d must be >= 0")
-        _require(self.gamma >= 0, "jump rate gamma must be >= 0")
+        _require(self.d >= 0, "drain rate d must be >= 0", self)
+        _require(self.gamma >= 0, "jump rate gamma must be >= 0", self)
         if self.gamma > 0:
-            _require(self.jumps is not None, "gamma > 0 requires a jump distribution")
+            _require(self.jumps is not None, "gamma > 0 requires a jump distribution", self)
 
     def phi(self, alpha: float) -> float:
         if self.gamma == 0.0:
@@ -531,10 +512,10 @@ class Sum:
     parts: tuple
 
     def __post_init__(self):
-        _require(len(self.parts) >= 1, "Sum needs at least one part")
+        _require(len(self.parts) >= 1, "Sum needs at least one part", self)
         for p in self.parts:
             _require(isinstance(p, (BrownianDrift, CppMinusDrift)),
-                     "Sum parts must be BrownianDrift or CppMinusDrift")
+                     "Sum parts must be BrownianDrift or CppMinusDrift", self)
 
     def phi(self, alpha: float) -> float:
         return sum(p.phi(alpha) for p in self.parts)
@@ -609,7 +590,7 @@ class Beta1:
     theta_: float
 
     def __post_init__(self):
-        _require(self.theta_ > 0, "Beta(theta, 1) needs theta > 0")
+        _require(self.theta_ > 0, "Beta(theta, 1) needs theta > 0", self)
 
     @property
     def theta(self) -> float:

@@ -316,7 +316,7 @@ def explicit_solution(v: Sequence[float], u: Sequence[float],
 
 
 def sample_wl_bm(c: float, sigma2: float, lam: float, rng: np.random.Generator,
-                 size: Optional[int] = None):
+                 size: int) -> Tuple[np.ndarray, np.ndarray]:
     """Independent pair (W, L): reflected level and regulator at an
     independent exp(lam) time, Brownian input started at zero.
 
@@ -326,16 +326,11 @@ def sample_wl_bm(c: float, sigma2: float, lam: float, rng: np.random.Generator,
     with rate -y2.
     """
     y1, y2, _, _ = bm_roots(c, sigma2, lam)
-    n = 1 if size is None else int(size)
-    w = rng.exponential(-1.0 / y2, n)
-    l = rng.exponential(1.0 / y1, n)
-    if size is None:
-        return float(w[0]), float(l[0])
-    return w, l
+    return rng.exponential(-1.0 / y2, size), rng.exponential(1.0 / y1, size)
 
 
 def sample_wl_mm1(d: float, gamma: float, mu: float, lam: float,
-                  rng: np.random.Generator, size: Optional[int] = None):
+                  rng: np.random.Generator, size: int) -> Tuple[np.ndarray, np.ndarray]:
     """(W, L) pair for exponential jumps with drain rate d.
 
     L is exponential with rate z1. W carries an atom at zero: with
@@ -349,13 +344,9 @@ def sample_wl_mm1(d: float, gamma: float, mu: float, lam: float,
         raise ModelError(
             f"W factor is not a probability mixture for d={d}, gamma={gamma}, "
             f"mu={mu}, lambda={lam} (negative root {z2} beyond the jump pole -mu)")
-    n = 1 if size is None else int(size)
-    at_zero = rng.random(n) < eta / mu
-    w = np.where(at_zero, 0.0, rng.exponential(1.0 / eta, n))
-    l = rng.exponential(1.0 / z1, n)
-    if size is None:
-        return float(w[0]), float(l[0])
-    return w, l
+    at_zero = rng.random(size) < eta / mu
+    w = np.where(at_zero, 0.0, rng.exponential(1.0 / eta, size))
+    return w, rng.exponential(1.0 / z1, size)
 
 
 def has_exact_wl(model: LevyModel) -> bool:

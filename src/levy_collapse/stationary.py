@@ -277,7 +277,7 @@ _CHUNK = 1 << 15
 # consecutive rungs must reach, and the number of dyadic halvings below
 # min(scale, root). The grading stops there because every alpha below the
 # sliver edge of a heavy-tailed model costs a 64-point remainder
-# integral of its own, each point a quadrature for near-integer Pareto tails
+# integral of its own
 _COLLAPSE_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128)
 _COLLAPSE_TOL = 1e-12
 _COLLAPSE_HALVINGS = 10
@@ -333,7 +333,7 @@ class StationarySolution:
         for j in range(2, _SERIES_MAX + 4):
             try:
                 ders.append(model.phi_dn(A, j))
-            except (ModelError, QuadratureFailure):
+            except ModelError:
                 break
         if len(ders) < 5:
             raise self._failure("too few phi derivatives at the root for the "
@@ -788,7 +788,7 @@ class TransformGrid:
 
 
 @lru_cache(maxsize=32)
-def stationary_solution(model: LevyModel, lam: float, theta: float = 1.0) -> StationarySolution:
+def stationary_solution(model: LevyModel, lam: float, theta: float, /) -> StationarySolution:
     return StationarySolution(model, lam, theta)
 
 

@@ -220,6 +220,63 @@ def test_pareto_needs_finite_mean():
         Pareto(0.9, 0.5)
 
 
+@pytest.mark.parametrize("delta", (1.0005, 1.9995, 2.0, 2.0007, 3.0))
+def test_pareto_transform_matches_high_precision_near_integer_tails(delta):
+    # at and near integer tail indices Gamma(n - delta) z^(delta-n) and one
+    # series term share a pole; the reference is
+    # E B^n exp(-alpha B) = delta xm^n s^(delta-n) Gamma(n - delta, s), s = alpha xm
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    jumps = Pareto(delta, 0.4)
+    d, xm = mpmath.mpf(delta), mpmath.mpf(jumps.xm)
+    for x in (1e-8, 1e-3, 0.5, 2.0, 2.5, 30.0, 300.0):
+        alpha = x / jumps.xm
+        s = mpmath.mpf(alpha) * xm
+
+        def moment(n):
+            return d * xm**n * s ** (d - n) * mpmath.gammainc(n - d, s)
+
+        lst = moment(0)
+        assert jumps.lst(alpha) == pytest.approx(float(lst), rel=0.0, abs=1e-14)
+        excess = lst - 1 + d * xm / (d - 1) * mpmath.mpf(alpha)
+        assert jumps.excess_lst(alpha) == pytest.approx(float(excess), rel=1e-14, abs=0.0)
+        for n in (1, 2, 3):
+            assert jumps.lst_deriv(alpha, n) == pytest.approx(
+                float((-1) ** n * moment(n)), rel=1e-12, abs=0.0), (x, n)
+
+
+def test_pareto_transform_at_an_alpha_whose_scale_product_underflows():
+    # alpha * xm rounds to 0 for a subnormal alpha; every transform then
+    # takes its alpha = 0 value instead of dividing by or taking log of 0
+    for delta in (1.5, 2.0):
+        jumps = Pareto(delta, 0.5)
+        assert jumps.lst(5e-324) == 1.0
+        assert jumps.excess_lst(5e-324) == 0.0
+        assert jumps.lst_deriv(5e-324, 1) == -jumps.mean()
+        with pytest.raises(ModelError):
+            jumps.lst_deriv(5e-324, 2)
+
+
+# invalid constructions and the repr each error message must end with
+INVALID = {
+    "Exponential(mu=0)": lambda: Exponential(0),
+    "Erlang(shape=0, rate=1.0)": lambda: Erlang(0, 1.0),
+    "Pareto(delta=0.9, xm=0.5)": lambda: Pareto(0.9, 0.5),
+    "Deterministic(size=-1.0)": lambda: Deterministic(-1.0),
+    "BrownianDrift(c=0.0, sigma2=-1.0)": lambda: BrownianDrift(0.0, -1.0),
+    "CppMinusDrift(d=1.0, gamma=1.0, jumps=None)": lambda: CppMinusDrift(1.0, 1.0, None),
+    "Sum(parts=())": lambda: Sum(()),
+    "Beta1(theta_=0.0)": lambda: Beta1(0.0),
+}
+
+
+@pytest.mark.parametrize("named", INVALID)
+def test_invalid_model_errors_name_the_model(named):
+    with pytest.raises(ModelError) as err:
+        INVALID[named]()
+    assert str(err.value).endswith(": " + named)
+
+
 # ---------------------------------------------------------------------------
 # collapse laws
 # ---------------------------------------------------------------------------

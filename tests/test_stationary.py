@@ -285,7 +285,7 @@ def test_transform_above_root_pins_with_residual_guard():
 
 
 def test_branch_tags():
-    sol = stationary_solution(BM, 1.0)
+    sol = stationary_solution(BM, 1.0, 1.0)
     a = sol.alpha_lambda
     assert sol.branch(0.5 * a) == "below"
     assert sol.branch(a) == "at"
@@ -301,7 +301,7 @@ def test_branch_seam_is_flat():
         assert seam <= 1e-5
     # one-sided continuity right outside the at-root snap band
     for model, lam in ((BM, 1.0), (MM1, 1.0)):
-        sol = stationary_solution(model, lam)
+        sol = stationary_solution(model, lam, 1.0)
         a, eps = sol.alpha_lambda, 2e-9 * sol.alpha_lambda
         mid = sol.lst(a)
         assert abs(sol.lst(a - eps) - mid) <= 1e-5
@@ -310,7 +310,7 @@ def test_branch_seam_is_flat():
 
 def test_transform_shape_across_branches():
     for model, lam in ((BM, 1.0), (MM1, 1.0)):
-        sol = stationary_solution(model, lam)
+        sol = stationary_solution(model, lam, 1.0)
         grid = np.linspace(0.0, 3.0 * sol.alpha_lambda, 40)
         vals = np.array([sol.lst(a) for a in grid])
         assert vals[0] == 1.0
@@ -322,7 +322,7 @@ def test_transform_shape_across_branches():
 
 
 def test_transform_rejects_far_negative_alpha():
-    sol = stationary_solution(BM, 1.0)
+    sol = stationary_solution(BM, 1.0, 1.0)
     with pytest.raises(DomainError):
         sol.lst(-1.0)
 
@@ -563,7 +563,7 @@ def test_onoff_mixture():
 
 def test_transform_grid_contents():
     grid = stationary_solution(BM, 1.0, 1.0).grid((0.0, 0.5, 1.0, 2.0))
-    sol = stationary_solution(BM, 1.0)
+    sol = stationary_solution(BM, 1.0, 1.0)
     assert grid.alphas == (0.0, 0.5, 1.0, 2.0)
     assert grid.branch_tags == ("below", "below", "at", "above")
     for a, v in zip(grid.alphas, grid.values):
@@ -577,7 +577,7 @@ def test_transform_grid_validation():
 
 
 def test_solution_cache_returns_same_object():
-    assert stationary_solution(BM, 1.0) is stationary_solution(BM, 1.0)
+    assert stationary_solution(BM, 1.0, 1.0) is stationary_solution(BM, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +599,7 @@ def test_batched_transform_equals_scalar_on_every_branch():
         for x, v in zip(alphas, batch):
             assert v == sol.lst(x)
     # more rows than one block of (alpha x node) products holds
-    sol = stationary_solution(MM1, 1.0)
+    sol = stationary_solution(MM1, 1.0, 1.0)
     rows = stationary._CHUNK // len(sol._tail_s)
     alphas = np.linspace(sol._lo, 3.0 * sol.alpha_lambda, 2 * rows + 7)
     batch = sol._lst_many(alphas)
@@ -739,9 +739,9 @@ def test_negative_margin_stays_clear_of_the_pole():
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # only the near-integer Pareto fallback needs scipy.integrate, on first
-    # use; simulation and the tail constant never build a solution, so they
-    # do not load scipy.special either
+    # no part of the package uses scipy.integrate, not even a Pareto model
+    # at an integer tail index; simulation and the tail constant never build
+    # a solution, so they do not load scipy.special either
     src = os.path.dirname(os.path.dirname(os.path.abspath(stationary.__file__)))
     simulation = (
         "import levy_collapse as lc; rng = lc.replication_rng(1, 0); "
@@ -749,8 +749,12 @@ def test_import_leaves_scipy_integrate_unloaded():
         "lc.Uniform01(), 10, 500, rng); "
         "lc.path_simulate(lc.CppMinusDrift(1.0, 0.8, lc.Pareto(1.5, 1.0 / 3.0)), 1.0, "
         "lc.Uniform01(), n_collapses=500, rng=rng); lc.tail_constant(0.8, 1.0, 1.5)")
+    pareto2 = ("import levy_collapse as lc; sol = lc.stationary_solution("
+               "lc.CppMinusDrift(1.0, 0.8, lc.Pareto(2.0, 1.0 / 3.0)), 1.0, 1.0); "
+               "sol.lst(0.5); sol.moments(2)")
     for code, module in (("import levy_collapse", "scipy.integrate"),
-                         (simulation, "scipy.special")):
+                         (simulation, "scipy.special"),
+                         (pareto2, "scipy.integrate")):
         code += f"; import sys; print({module!r} in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=dict(os.environ, PYTHONPATH=src))

@@ -2,17 +2,18 @@
 
 Each command writes byte-deterministic CSV files into the configured
 output directory: floats are serialized with 17 significant digits so a
-reader recovers the exact doubles. `run_validate` executes the analytic
-vs simulation cross-check suites and reports one row per check.
+reader recovers the exact doubles. The small tables go through `_fmt` cell
+by cell; `samples.csv` is formatted in bulk, one replicate at a time, with
+the same bytes `_fmt` would give. `run_validate` executes the analytic vs
+simulation cross-check suites and reports one row per check.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from typing import List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,12 +45,27 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def write_csv(path: str, header: Sequence[str], rows) -> str:
+def _lines(rows) -> Iterator[str]:
+    """CSV lines of a small table, one `_fmt` per cell."""
+    for row in rows:
+        yield ",".join(_fmt(x) for x in row) + "\n"
+
+
+def _sample_lines(pools: Sequence[simulate.SamplePool]) -> Iterator[str]:
+    """`samples.csv`'s rows as one text chunk per replicate. `%d` and
+    `%.17g` give `_fmt`'s text for ints and doubles, so the bytes are those
+    of `_lines`; a chunk holds at most `reservoir_cap` rows."""
+    for r, p in enumerate(pools):
+        yield "".join(["%d,%d,%.17g\n" % (r, i, z)
+                       for i, z in enumerate(p.res_vals.tolist())])
+
+
+def write_csv(path: str, header: Sequence[str], chunks: Iterable[str]) -> str:
+    """Write the header line, then each text chunk as it comes."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(chunks)
     return path
 
 
@@ -67,11 +83,11 @@ def run_analyze(cfg: RunConfig) -> List[str]:
     out = cfg.out_dir
     paths = [
         write_csv(os.path.join(out, "lst.csv"), ("alpha", "f_alpha", "branch"),
-                  zip(grid.alphas, grid.values, grid.branch_tags)),
+                  _lines(zip(grid.alphas, grid.values, grid.branch_tags))),
         write_csv(os.path.join(out, "moments.csv"), ("n", "m_n"),
-                  enumerate(sol.moments(cfg.n_moments))),
+                  _lines(enumerate(sol.moments(cfg.n_moments)))),
         write_csv(os.path.join(out, "summary.csv"), ("alpha_lambda", "b", "atom"),
-                  [(sol.alpha_lambda, sol.b, sol.atom)]),
+                  _lines([(sol.alpha_lambda, sol.b, sol.atom)])),
     ]
     return paths
 
@@ -116,7 +132,11 @@ def _run_pools(cfg: RunConfig) -> List[simulate.SamplePool]:
     jobs = [(cfg, r, n) for r, n in enumerate(_chunks(cfg.n_samples, reps))]
     if len(jobs) <= 1 or cfg.threads <= 1:
         return [_replicate(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=min(cfg.threads, len(jobs))) as pool:
+    # imported here: every process imports the package, few of them fan out;
+    # the fork start method launches all workers at once, so cap them
+    from concurrent.futures import ProcessPoolExecutor
+    workers = min(cfg.threads, len(jobs), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_replicate, jobs))
 
 
@@ -147,18 +167,12 @@ def run_simulate(cfg: RunConfig) -> List[str]:
     merged = pools[0]
     for p in pools[1:]:
         merged = merged.merge(p)
-
-    def sample_rows():
-        for r, p in enumerate(pools):
-            for i, z in enumerate(p.res_vals):
-                yield (r, i, z)
-
     out = cfg.out_dir
     return [
         write_csv(os.path.join(out, "samples.csv"), ("replicate", "n", "zeta"),
-                  sample_rows()),
+                  _sample_lines(pools)),
         write_csv(os.path.join(out, "summary.csv"), ("stat", "value", "stderr"),
-                  _summary_rows(merged, cfg.model)),
+                  _lines(_summary_rows(merged, cfg.model))),
     ]
 
 
@@ -180,8 +194,8 @@ def run_tail(cfg: RunConfig) -> List[str]:
     return [write_csv(os.path.join(cfg.out_dir, "tail.csv"),
                       ("threshold", "exceedances", "samples", "ratio", "lo", "hi",
                        "target"),
-                      [(r.threshold, r.exceedances, r.samples, r.ratio, r.lo, r.hi,
-                        target) for r in rows])]
+                      _lines((r.threshold, r.exceedances, r.samples, r.ratio, r.lo,
+                              r.hi, target) for r in rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -367,5 +381,5 @@ def run_validate(cfg: RunConfig) -> Tuple[List[str], list]:
     for name in names:
         rows.extend(_SUITES[name](cfg))
     path = write_csv(os.path.join(cfg.out_dir, "validate.csv"),
-                     ("check", "expected", "observed", "tol", "pass"), rows)
+                     ("check", "expected", "observed", "tol", "pass"), _lines(rows))
     return [path], rows

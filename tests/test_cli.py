@@ -1,5 +1,6 @@
 """Config parsing, run entry points, CSV output and CLI exit codes."""
 
+import concurrent.futures
 import csv
 import math
 import os
@@ -22,6 +23,7 @@ from levy_collapse import (
     stationary_solution,
 )
 from levy_collapse.cli import main
+from levy_collapse import runner, simulate
 from levy_collapse.runner import _fmt, run_analyze, run_simulate
 
 import reference_values as ref
@@ -271,6 +273,60 @@ def test_simulate_reports_no_finite_estimate_of_an_infinite_moment(tmp_path):
         value, se = stats[stat]
         assert value == math.inf and math.isnan(se)
     assert stats["zero_freq"][1] > 0.0
+
+
+def test_samples_csv_bulk_format_equals_the_cell_formatter(tmp_path):
+    # samples.csv is formatted a replicate at a time; it must keep the bytes
+    # of formatting every cell with _fmt, on signed zeros, subnormals, the
+    # extremes of the range, inf and nan, and on a replicate with no rows
+    special = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0 / 3.0, 2.0 ** 53,
+               1e308, math.inf, math.nan]
+    rng = simulate.replication_rng(5, 0)
+    pools = []
+    for cap, values in ((16, special), (16, special[::-1] + [2.5, 7.0]),
+                        (0, special), (4, special)):
+        pool = simulate.SamplePool(cap=cap)
+        with np.errstate(all="ignore"):  # the power sums overflow to inf
+            pool.add(values, rng)
+        pools.append(pool)
+    path = runner.write_csv(str(tmp_path / "samples.csv"), ("replicate", "n", "zeta"),
+                            runner._sample_lines(pools))
+    expected = "replicate,n,zeta\n" + "".join(
+        ",".join(_fmt(x) for x in (r, i, z)) + "\n"
+        for r, p in enumerate(pools) for i, z in enumerate(p.res_vals))
+    with open(path, "rb") as fh:
+        assert fh.read() == expected.encode()
+    for text in (",-0\n", ",4.9406564584124654e-324\n", ",1e+308\n", ",inf\n", ",nan\n"):
+        assert text in expected
+    assert "\n2," not in expected  # the replicate with reservoir_cap = 0
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    threads = 4 * (os.cpu_count() or 1)
+    cfg = parse_config(MM1_TEXT + f"n_samples = {50 * threads}\nn_burn = 10\n"
+                       + f"threads = {threads}\nreplications = 0\nout = {tmp_path}\n")
+    run_simulate(cfg)
+    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+    _, rows = read_csv(tmp_path / "summary.csv")
+    assert {r[0]: float(r[1]) for r in rows}["count"] == 50.0 * threads
 
 
 # ---------------------------------------------------------------------------

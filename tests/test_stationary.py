@@ -741,7 +741,9 @@ def test_negative_margin_stays_clear_of_the_pole():
 def test_import_leaves_scipy_integrate_unloaded():
     # no part of the package uses scipy.integrate, not even a Pareto model
     # at an integer tail index; simulation and the tail constant never build
-    # a solution, so they do not load scipy.special either
+    # a solution, so they do not load scipy.special either; the process pool
+    # is imported only where a run fans out, so the import alone does not
+    # load multiprocessing
     src = os.path.dirname(os.path.dirname(os.path.abspath(stationary.__file__)))
     simulation = (
         "import levy_collapse as lc; rng = lc.replication_rng(1, 0); "
@@ -754,7 +756,8 @@ def test_import_leaves_scipy_integrate_unloaded():
                "sol.lst(0.5); sol.moments(2)")
     for code, module in (("import levy_collapse", "scipy.integrate"),
                          (simulation, "scipy.special"),
-                         (pareto2, "scipy.integrate")):
+                         (pareto2, "scipy.integrate"),
+                         ("import levy_collapse", "multiprocessing")):
         code += f"; import sys; print({module!r} in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=dict(os.environ, PYTHONPATH=src))

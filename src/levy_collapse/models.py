@@ -37,8 +37,7 @@ _EXP_UNDERFLOW = 700.0
 
 # Gamma(c) z^-c and the k = m term of the incomplete-gamma series both have a
 # pole at c = -m; within this distance of it they are summed as one pole-free
-# term (_gamma_series), and the upper-gamma recurrence, which divides by the
-# distance, gives way to a continued fraction (_upper_gamma)
+# term (_gamma_series)
 _NEAR_INT_DELTA = 1e-3
 
 # zeta(2), ..., zeta(6): lgamma(1+e)/e = -euler_gamma + sum_k (-1)^k zeta(k) e^(k-1)/k
@@ -53,44 +52,27 @@ def _require(cond: bool, msg: str, obj) -> None:
 
 
 def _upper_gamma(a: float, z: float) -> float:
-    """Upper incomplete gamma Gamma(a, z) for z > 0 and real a.
+    """Upper incomplete gamma Gamma(a, z) for z > 2 and real a.
 
-    scipy's regularized gammaincc only accepts a > 0; negative orders follow
-    from the downward recurrence Gamma(a, z) = (Gamma(a+1, z) - z^a e^-z) / a.
-    Each step cancels at most ~z/|a| of the leading digits, which for the
-    z <= _EXP_UNDERFLOW, |a| <= ~12 range used here stays well inside double
-    precision of the tiny values involved. Within _NEAR_INT_DELTA of a
-    non-positive integer the recurrence divides by that distance, so
-    Legendre's continued fraction (DLMF 8.9.2, modified Lentz) takes over;
-    it converges fast for z > 2 but costs twice the recurrence.
+    Legendre's continued fraction (DLMF 8.9.2), by modified Lentz. It has
+    no pole at the non-positive integers and keeps its relative accuracy
+    where Gamma(a, z) is as small as e^-z; for z > 2 and |a| <= ~12 it
+    converges in at most ~66 steps, and in 4-9 for z >= 50. Orders well
+    above z cost digits (3e-11 relative at a = 9.7, z = 2); only the highest
+    derivatives of the root series ask for them.
     """
-    n = round(a)
-    if n <= 0 and abs(a - n) <= _NEAR_INT_DELTA:
-        b = z + 1.0 - a
-        d = 1.0 / b
-        c, h = 1e300, d
-        for i in range(1, 200):  # at most 66 steps for z > 2, |a| <= 12
-            an = -i * (i - a)
-            b += 2.0
-            d = 1.0 / (an * d + b)
-            c = b + an / c
-            h *= c * d
-            if abs(c * d - 1.0) < 1e-16:
-                break
-        return z**a * math.exp(-z) * h
-    # imported here so that simulation never loads scipy.special; once it is
-    # loaded, this form costs no more per call than a module-level import
-    import scipy.special
-
-    if a > 0.0:
-        return math.gamma(a) * scipy.special.gammaincc(a, z)
-    m = int(math.floor(-a)) + 1  # smallest shift with a + m > 0
-    val = math.gamma(a + m) * scipy.special.gammaincc(a + m, z)
-    ez = math.exp(-z)
-    for j in range(m - 1, -1, -1):
-        b = a + j
-        val = (val - z**b * ez) / b
-    return val
+    b = z + 1.0 - a
+    d = 1.0 / (b or 1e-300)
+    c, h = 1e300, d
+    for i in range(1, 200):
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / ((an * d + b) or 1e-300)
+        c = (b + an / c) or 1e-300
+        h *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    return z**a * math.exp(-z) * h
 
 
 def _gamma_series(c: float, z: float, kmin: int = 0) -> float:
@@ -245,9 +227,9 @@ class Pareto:
 
     delta must exceed 1 so the jumps have finite mean. The transform is the
     incomplete-gamma identity lst = delta*(alpha*xm)^delta * Gamma(-delta, alpha*xm),
-    evaluated by a power series for small arguments and a downward gamma
-    recurrence otherwise. Both remove the poles at integer tail indices
-    themselves (see _NEAR_INT_DELTA), so every delta takes the same path.
+    evaluated by a power series for small arguments and Legendre's continued
+    fraction otherwise. Neither has a pole at integer tail indices (see
+    _NEAR_INT_DELTA), so every delta takes the same path.
     """
 
     delta: float

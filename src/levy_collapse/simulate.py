@@ -139,10 +139,11 @@ class SamplePool:
         self.count += int(z.size)
         self.zeros += int(np.count_nonzero(z == 0.0))
         p = z.copy()
-        for k in range(4):
-            self.sums[k] += p.sum()
-            if k < 3:
-                p *= z
+        with np.errstate(over="ignore"):  # inf is the saturated power sum
+            for k in range(4):
+                self.sums[k] += p.sum()
+                if k < 3:
+                    p *= z
         for i, a in enumerate(self.alphas):
             e = np.exp(-a * z)
             self.lst_sum[i] += e.sum()

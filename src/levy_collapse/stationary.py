@@ -39,6 +39,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
+from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
 from .errors import (DomainError, ModelError, QuadratureFailure,
@@ -165,11 +166,27 @@ def _alpha_root(model: LevyModel, lam: float) -> float:
 
 @lru_cache(maxsize=64)
 def _jacobi_rule(n: int, expo: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights so that int_0^1 s^expo u(s) ds = sum W u(S)."""
-    import scipy.special
+    """Nodes/weights so that int_0^1 s^expo u(s) ds = sum W u(S).
 
-    x, w = scipy.special.roots_jacobi(n, expo, 0.0)
-    return (1.0 - x) / 2.0, w * 2.0 ** (-expo - 1.0)
+    Golub-Welsch: the nodes x = 1 - 2S are the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix of the weight (1 - x)^expo on [-1, 1]; each
+    weight is 1 / ((expo + 1) sum_k p_k(x)^2) over the orthonormal
+    polynomials, run through their three-term recurrence. A sum that
+    overflows (n = 1536 at expo = 140; 768 at expo = 150 comes within a
+    factor 4) belongs to a weight below the smallest double, which is 0.
+    """
+    a = float(expo)
+    k = np.arange(1.0, n)
+    t = 2.0 * k + a
+    diag = np.concatenate(([-a / (a + 2.0)], -a * a / (t * (t + 2.0))))
+    off = 2.0 * k * (k + a) / (t * np.sqrt((t + 1.0) * (t - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))  # reads the lower triangle
+    p0, p1, tot = np.zeros(n), np.ones(n), np.ones(n)
+    with np.errstate(over="ignore"):
+        for j in range(n - 1):
+            p0, p1 = p1, ((x - diag[j]) * p1 - (off[j - 1] if j else 0.0) * p0) / off[j]
+            tot += p1 * p1
+    return (1.0 - x) / 2.0, 1.0 / (a + 1.0) / tot
 
 
 @lru_cache(maxsize=16)
@@ -180,9 +197,7 @@ def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=4)
 def _laguerre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    import scipy.special
-
-    return scipy.special.roots_laguerre(n)
+    return laggauss(n)
 
 
 def _clenshaw(coef: np.ndarray, u: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -819,9 +834,28 @@ def incomplete_beta(z: float, a1: float, a2: float) -> float:
         raise DomainError("z must lie in [0, 1]")
     if a1 <= 0 or a2 <= 0:
         raise DomainError("a1 and a2 must be positive")
-    import scipy.special
-
-    return float(scipy.special.betainc(a1, a2, z)) * math.exp(scipy.special.betaln(a1, a2))
+    # the continued fraction converges fast below the switch; above it
+    # B(z; a1, a2) = B(a1, a2) - B(1 - z; a2, a1)
+    flip = z >= (a1 + 1.0) / (a1 + a2 + 2.0)
+    x, p, q = (1.0 - z, a2, a1) if flip else (z, a1, a2)
+    part = 0.0
+    if x > 0.0:
+        # modified Lentz on DLMF 8.17.22:
+        # B(x; p, q) = x^p (1-x)^q / (p (1 + d1/(1 + d2/(1 + ...))))
+        f, c, d = 1.0, 1.0, 0.0
+        for i in range(1, 1000):
+            m = i // 2
+            num = x / ((p + i - 1.0) * (p + i)) * (
+                m * (q - m) if i % 2 == 0 else -(p + m) * (p + q + m))
+            d = 1.0 / ((1.0 + num * d) or 1e-300)
+            c = (1.0 + num / c) or 1e-300
+            f *= c * d
+            if abs(c * d - 1.0) < 3e-16:
+                break
+        part = x**p * math.exp(q * math.log1p(-x)) / (p * f)
+    if not flip:
+        return part
+    return math.exp(math.lgamma(a1) + math.lgamma(a2) - math.lgamma(a1 + a2)) - part
 
 
 def bm_roots(c: float, sigma2: float, lam: float) -> Tuple[float, float, float, float]:

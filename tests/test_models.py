@@ -19,6 +19,7 @@ from levy_collapse import (
     cumulant,
     sample_unit_increment,
 )
+from levy_collapse import models
 
 import reference_values as ref
 
@@ -243,6 +244,17 @@ def test_pareto_transform_matches_high_precision_near_integer_tails(delta):
         for n in (1, 2, 3):
             assert jumps.lst_deriv(alpha, n) == pytest.approx(
                 float((-1) ** n * moment(n)), rel=1e-12, abs=0.0), (x, n)
+
+
+@pytest.mark.parametrize("a", (-2.8, -2.0011, -1.5, 0.3, 1.5))
+def test_upper_gamma_matches_high_precision(a):
+    # the Pareto transforms call Gamma(a, z) only for z > 2, where it can be
+    # as small as e^-650 and must keep its relative accuracy
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for z in (2.5, 10.0, 50.0, 300.0, 650.0):
+        expected = float(mpmath.gammainc(a, z))
+        assert models._upper_gamma(a, z) == pytest.approx(expected, rel=1e-13, abs=0.0), z
 
 
 def test_pareto_transform_at_an_alpha_whose_scale_product_underflows():

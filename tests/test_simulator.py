@@ -460,6 +460,15 @@ def test_pool_accumulators_and_validation():
         SamplePool((), (0.0,))
 
 
+def test_pool_power_sums_saturate_without_a_warning():
+    # 1e100^4 overflows; inf is the power sum, and the package's warnings
+    # (errors under this suite's filterwarnings) stay quiet
+    pool = SamplePool((0.5,), (1.0,), cap=4)
+    pool.add([1e100], np.random.default_rng(0))
+    assert pool.moment(1) == 1e100
+    assert pool.moment(4) == math.inf
+
+
 def test_empty_pool_raises():
     pool = SamplePool((0.5,), ())
     with pytest.raises(EmptyPool):

@@ -443,6 +443,18 @@ def test_incomplete_beta_hand_values():
             incomplete_beta(*bad)
 
 
+@pytest.mark.parametrize("a1", (0.5, 1.2, 1.9, 3.0))
+def test_incomplete_beta_matches_high_precision(a1):
+    # both sides of the symmetry switch at z = (a1 + 1) / (a1 + a2 + 2)
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for a2 in (0.5, 1.2, 1.9, 3.0):
+        for z in (1e-6, 0.3, 0.7, 0.999):
+            expected = float(mpmath.betainc(a1, a2, 0, z))
+            assert incomplete_beta(z, a1, a2) == pytest.approx(
+                expected, rel=1e-14, abs=0.0), (a2, z)
+
+
 def test_root_pair_decompositions():
     rng = np.random.default_rng(11)
     for _ in range(1000):
@@ -606,6 +618,18 @@ def test_batched_transform_equals_scalar_on_every_branch():
     assert all(v == sol.lst(x) for x, v in zip(alphas, batch))
 
 
+@pytest.mark.parametrize("expo", (0.0, 0.37, 3.3, 29.7, 149.0))
+def test_jacobi_rule_integrates_monomials(expo):
+    # an n-point Gauss rule is exact for degree 2n - 1:
+    # int_0^1 s^expo s^k ds = 1 / (expo + k + 1)
+    for n in (8, 96, 192, 384):
+        S, W = stationary._jacobi_rule(n, expo)
+        k = np.arange(2 * n)
+        exact = 1.0 / (expo + k + 1.0)
+        got = (S[None, :] ** k[:, None]) @ W
+        assert np.max(np.abs(got - exact) / exact) <= 1e-12, n
+
+
 def _collapse_average_reference(sol, scale):
     """E f(scale U) by adaptive quadrature over scalar transform calls,
     split at the root; the substitution t = exp(-u/theta) for theta > 150."""
@@ -739,11 +763,12 @@ def test_negative_margin_stays_clear_of_the_pole():
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # no part of the package uses scipy.integrate, not even a Pareto model
-    # at an integer tail index; simulation and the tail constant never build
-    # a solution, so they do not load scipy.special either; the process pool
-    # is imported only where a run fans out, so the import alone does not
-    # load multiprocessing
+    # the package runs on numpy alone: no scipy module is loaded by the
+    # import, by simulation and the tail constant, by building solutions
+    # (Brownian with its moments and transform, Pareto at an integer tail
+    # index, and theta K > 150, whose tail rule is Gauss-Laguerre) or by the
+    # Brownian closed form; the process pool is imported only where a run
+    # fans out, so the import alone does not load multiprocessing
     src = os.path.dirname(os.path.dirname(os.path.abspath(stationary.__file__)))
     simulation = (
         "import levy_collapse as lc; rng = lc.replication_rng(1, 0); "
@@ -754,11 +779,21 @@ def test_import_leaves_scipy_integrate_unloaded():
     pareto2 = ("import levy_collapse as lc; sol = lc.stationary_solution("
                "lc.CppMinusDrift(1.0, 0.8, lc.Pareto(2.0, 1.0 / 3.0)), 1.0, 1.0); "
                "sol.lst(0.5); sol.moments(2)")
+    bm = ("import levy_collapse as lc; sol = lc.stationary_solution("
+          "lc.BrownianDrift(0.0, 2.0), 1.0, 1.0); sol.moments(4); sol.lst(0.5)")
+    laguerre = ("import levy_collapse as lc; sol = lc.stationary_solution("
+                "lc.BrownianDrift(0.0, 2.0), 1.0, 400.0); assert sol._tK > 150.0; "
+                "sol.lst(0.5)")
+    closed_form = "import levy_collapse as lc; lc.bm_closed_form_lst(0.0, 2.0, 1.0, 0.5)"
     for code, module in (("import levy_collapse", "scipy.integrate"),
                          (simulation, "scipy.special"),
                          (pareto2, "scipy.integrate"),
-                         ("import levy_collapse", "multiprocessing")):
-        code += f"; import sys; print({module!r} in sys.modules)"
+                         ("import levy_collapse", "multiprocessing"),
+                         (bm, "scipy"),
+                         (closed_form, "scipy"),
+                         (pareto2, "scipy"),
+                         (laguerre, "scipy")):
+        code += f"; import sys; print(any(m.startswith({module!r}) for m in sys.modules))"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == "False", module
@@ -880,6 +915,20 @@ def test_multi_scale_remainders_solve(case):
     assert values[0] == 1.0 and all(0.0 <= v <= 1.0 for v in values)
     assert fixed_point_residual(model, lam, theta, 1.5 * a) <= 1e-9
 
+
+def test_sweep_sum_with_a_stiff_endpoint_weight_solves():
+    # sum.5.0 of the seed-1 analytic sweep: with theta K = 124.9 the tail
+    # rule's rungs agree to 4e-12 only if the Jacobi weights are accurate
+    # well below that; an error of 1e-11 in them made the ladder fail
+    model = Sum((BrownianDrift(-0.4042268362570036, 0.34833906028862976),
+                 CppMinusDrift(0.2525855950226042, 1.2848409306452424,
+                               Exponential(0.5027970174137515))))
+    lam, theta = 9.672937787684136, 226.53095652195884
+    sol = stationary_solution(model, lam, theta)
+    assert 124.9 < sol._tK < 125.0
+    m1 = sol.moments(1)[1]
+    for alpha in (1.0 / m1, 1.5 * sol.alpha_lambda):
+        assert fixed_point_residual(model, lam, theta, alpha) <= 1e-9
 
 def _sweep_model(draw):
     """A model of one of the analytic sweep's families, over its ranges."""

@@ -134,7 +134,7 @@ class SamplePool:
         z = np.asarray(values, dtype=float).ravel()
         if z.size == 0:
             return
-        if z.min() < 0:
+        if not z.min() >= 0.0:  # also rejects nan
             raise DomainError("levels must be >= 0")
         self.count += int(z.size)
         self.zeros += int(np.count_nonzero(z == 0.0))
@@ -452,7 +452,15 @@ def loynes_run(model: LevyModel, lam: float, collapse: CollapseLaw,
                n_samples: int, rng: np.random.Generator, *,
                eps_trunc: float = _EPS_TRUNC, alphas=(), thresholds=(),
                reservoir_cap: int = _RESERVOIR_CAP) -> SamplePool:
-    """Batch of truncated max-representation draws (vectorized lanes)."""
+    """Truncated backward max-representation draws, one lane per sample.
+
+    Each lane evaluates Z = V_0 + max_n sum_{k<=n} (V_k U_k - Y_k) pi_{k-1}
+    over i.i.d. cycles, with pi_k = U_1 ... U_k, and stops after the
+    first cycle whose product pi_n is at most `eps_trunc` (at once when
+    eps_trunc = 1). Blocks of up to _BLOCK lanes run in rounds: a round
+    draws one cycle for each lane still live, in lane order, and a lane
+    that stops leaves the round set with its running max as its sample.
+    """
     if not 0.0 < eps_trunc <= 1.0:
         raise DomainError("eps_trunc must lie in (0, 1]")
     n_samples = int(n_samples)
@@ -463,19 +471,24 @@ def loynes_run(model: LevyModel, lam: float, collapse: CollapseLaw,
     for off in range(0, n_samples, _BLOCK):
         m = min(_BLOCK, n_samples - off)
         v0, _ = draw(rng, m)
+        out = np.zeros(m)
+        lane = np.arange(m)
         tail = np.zeros(m)
         best = np.zeros(m)
         pi = np.ones(m)
         while True:
-            act = pi > eps_trunc
-            if not act.any():
-                break
-            v, y = draw(rng, m)
-            u = collapse.sample(rng, m)
-            tail = np.where(act, tail + (v * u - y) * pi, tail)
-            best = np.maximum(best, np.where(act, tail, best))
-            pi = np.where(act, pi * u, pi)
-        pool.add(v0 + best, rng)
+            live = pi > eps_trunc
+            if not live.all():
+                out[lane[~live]] = best[~live]
+                lane, tail, best, pi = lane[live], tail[live], best[live], pi[live]
+                if lane.size == 0:
+                    break
+            v, y = draw(rng, lane.size)
+            u = collapse.sample(rng, lane.size)
+            tail += (v * u - y) * pi
+            np.maximum(best, tail, out=best)
+            pi *= u
+        pool.add(v0 + out, rng)
     return pool
 
 

@@ -287,7 +287,9 @@ def test_samples_csv_bulk_format_equals_the_cell_formatter(tmp_path):
                         (0, special), (4, special)):
         pool = simulate.SamplePool(cap=cap)
         with np.errstate(all="ignore"):  # the power sums overflow to inf
-            pool.add(values, rng)
+            pool.add([x for x in values if not math.isnan(x)], rng)
+        if cap > 0:  # add rejects nan, so it goes into the reservoir directly
+            pool._push(rng.random(1), np.array([math.nan]))
         pools.append(pool)
     path = runner.write_csv(str(tmp_path / "samples.csv"), ("replicate", "n", "zeta"),
                             runner._sample_lines(pools))

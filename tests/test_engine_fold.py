@@ -1,12 +1,18 @@
-"""The exact engines as folds of increasing maps z -> max(a z + b, c).
+"""The exact engines against one-lane, one-event-at-a-time references.
 
-The engines fold their events in array batches but must draw exactly the
-same random numbers as stepping one event at a time. The references below
-are those one-at-a-time loops; each comparison runs both from the same
-seed and requires the same generator calls (method, arguments, order),
-identical counts, zeros, exceedances and reservoir keys, and levels, pool
-sums, time totals and terminal state equal up to rounding (1e-10
-relative).
+The embedded chain, the exact path and the coupling check fold their
+events in array batches of increasing maps z -> max(a z + b, c), but must
+draw exactly the same random numbers as stepping one event at a time. The
+references below are those one-at-a-time loops; each comparison runs both
+from the same seed and requires the same generator calls (method,
+arguments, order), identical counts, zeros, exceedances and reservoir
+keys, and levels, pool sums, time totals and terminal state equal up to
+rounding (1e-10 relative).
+
+The backward representation draws its rounds only for the lanes still
+above the truncation level. Its reference keeps a list of live lanes and
+updates each with Python floats in the engine's operation order, so the
+comparison requires the same draws and bit-equal levels and sums.
 """
 
 import math
@@ -30,6 +36,7 @@ from levy_collapse import (
     Uniform01,
     coupling_check,
     embedded_chain_run,
+    loynes_run,
     path_simulate,
     replication_rng,
 )
@@ -128,6 +135,39 @@ def ref_embedded(model, lam, collapse, n_burn, n_samples, rng, **kw):
         if keep < m:
             pool.add(np.asarray(out[max(keep, 0):]), rng)
     return pool
+
+
+def ref_loynes(model, lam, collapse, n_samples, rng, eps_trunc, **kw):
+    """Backward representation on a list of live lanes; also returns the
+    round sizes of each block."""
+    draw = _exact_wl(model, lam)
+    pool = SamplePool(kw.get("alphas", ()), kw.get("thresholds", ()),
+                      kw.get("reservoir_cap", 100_000))
+    rounds = []
+    for off in range(0, n_samples, _BLOCK):
+        m = min(_BLOCK, n_samples - off)
+        v0, _ = draw(rng, m)
+        out = [0.0] * m
+        live = [(i, 0.0, 0.0, 1.0) for i in range(m)] if 1.0 > eps_trunc else []
+        rounds.append([])
+        while live:
+            k = len(live)
+            rounds[-1].append(k)
+            v, y = draw(rng, k)
+            u = collapse.sample(rng, k)
+            nxt = []
+            for (i, tail, best, pi), vv, yy, uu in zip(live, v.tolist(), y.tolist(),
+                                                        u.tolist()):
+                tail = tail + (vv * uu - yy) * pi
+                best = max(best, tail)
+                pi = pi * uu
+                if pi > eps_trunc:
+                    nxt.append((i, tail, best, pi))
+                else:
+                    out[i] = best
+            live = nxt
+        pool.add(v0 + np.asarray(out), rng)
+    return pool, rounds
 
 
 def ref_path(model, lam, collapse, *, rng, horizon=None, n_collapses=None,
@@ -248,6 +288,32 @@ def test_embedded_fold_draws_what_the_loop_draws(model, n_burn, n):
     ref = ref_embedded(model, 1.0, UNI, n_burn, n, r_ref, **POOL_KW)
     assert_same_draws(r_new, r_ref)
     assert_same_pool(new, ref)
+
+
+@pytest.mark.parametrize("model,collapse,n,eps", [
+    (MM1, UNI, 70_000, 1e-12),    # two blocks
+    (BM, Beta1(4.0), 5000, 1e-12),
+    (MM1, UNI, 20_000, 1e-3),
+    (BM, UNI, 20_000, 1.0),       # V0 and the reservoir keys only
+])
+def test_loynes_live_lanes_draw_what_the_lane_loop_draws(model, collapse, n, eps):
+    r_new, r_ref = recorders(56, 6)
+    new = loynes_run(model, 1.0, collapse, n, r_new, eps_trunc=eps, **POOL_KW)
+    ref, rounds = ref_loynes(model, 1.0, collapse, n, r_ref, eps, **POOL_KW)
+    assert_same_draws(r_new, r_ref)
+    assert new.count == ref.count == n
+    assert new.zeros == ref.zeros
+    np.testing.assert_array_equal(new.exceed, ref.exceed)
+    np.testing.assert_array_equal(new.res_keys, ref.res_keys)
+    for field in ("res_vals", "sums", "lst_sum", "lst_sqsum"):
+        np.testing.assert_array_equal(getattr(new, field), getattr(ref, field))
+    assert len(rounds) == -(-n // _BLOCK)
+    for off, sizes in zip(range(0, n, _BLOCK), rounds):
+        if eps == 1.0:
+            assert sizes == []
+        else:
+            assert sizes[0] == min(_BLOCK, n - off)
+            assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
 @pytest.mark.parametrize("model,collapse,n", [

@@ -469,6 +469,20 @@ def test_pool_power_sums_saturate_without_a_warning():
     assert pool.moment(4) == math.inf
 
 
+def test_pool_rejects_a_nan_level_untouched():
+    # nan < 0 is false, so a sign test alone would pool it and every power
+    # sum would read nan
+    rng = np.random.default_rng(11)
+    state = rng.bit_generator.state
+    pool = SamplePool((0.5,), (1.0,), cap=4)
+    with pytest.raises(DomainError):
+        pool.add([1.0, math.nan], rng)
+    assert pool.count == 0
+    assert pool.zeros == 0
+    assert not pool.sums.any()
+    assert rng.bit_generator.state == state  # no reservoir keys drawn
+
+
 def test_empty_pool_raises():
     pool = SamplePool((0.5,), ())
     with pytest.raises(EmptyPool):

@@ -36,6 +36,8 @@ from .models import (
 from .stationary import bm_roots, mm1_roots
 
 _BLOCK = 1 << 16
+_ROW = 128  # Euler steps per row
+_STEP_CAP = 1 << 16  # Euler grid cells per chunk
 _RESERVOIR_CAP = 100_000
 _EPS_TRUNC = 1e-12
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -500,17 +502,13 @@ def loynes_run(model: LevyModel, lam: float, collapse: CollapseLaw,
 class _Stream:
     """Draws of one kind prefetched in blocks of _BLOCK from one generator.
 
-    The Euler loop takes one draw at a time; the exact engine reads the
-    block `buf[i:]` directly and advances `i` itself.
+    Readers take the block `buf[i:]` directly and advance `i` themselves.
     """
 
     __slots__ = ("_rng", "_fn", "buf", "i")
 
     def __init__(self, rng, fn):
-        self._rng = rng
-        self._fn = fn
-        self.buf = np.empty(0)
-        self.i = 0
+        self._rng, self._fn, self.buf, self.i = rng, fn, np.empty(0), 0
 
     def left(self) -> int:
         return self.buf.size - self.i
@@ -521,56 +519,42 @@ class _Stream:
             self.buf = self._fn(self._rng, _BLOCK)
             self.i = 0
 
-    def take(self) -> float:
-        self.fill()
-        self.i += 1
-        return float(self.buf[self.i - 1])
-
-
-def _event_streams(model, lam, collapse, rng):
-    """Clock, jump-size and multiplier streams for the event loop."""
-    parts = model.jump_parts()
-    g_tot = sum(g for g, _ in parts)
-    ecol = _Stream(rng, lambda r, n: r.exponential(1.0 / lam, n)) if lam > 0 else None
-    ejmp = _Stream(rng, lambda r, n: r.exponential(1.0 / g_tot, n)) if g_tot > 0 else None
-    pick = _Stream(rng, lambda r, n: r.random(n)) if len(parts) > 1 else None
-    sizes = [_Stream(rng, lambda r, n, j=jumps: j.sample(r, n)) for _, jumps in parts]
-    cuts = np.cumsum([g for g, _ in parts]) / g_tot if len(parts) > 1 else None
-    umult = _Stream(rng, lambda r, n, c=collapse: c.sample(r, n))
-    return ecol, ejmp, pick, sizes, cuts, umult
-
-
-def _take_jump(pick, sizes, cuts) -> float:
-    if pick is None:
-        return sizes[0].take()
-    i = int(np.searchsorted(cuts, pick.take(), side="right"))
-    return sizes[min(i, len(sizes) - 1)].take()
-
 
 class _EventBatches:
-    """Event epochs of a model without a Brownian part, read in batches.
+    """Event epochs of the path engines, read in batches.
 
     Each event is a map z -> max(a z + b, c) of the level just after the
-    previous event: drain for dt at the drift rate, clamped at zero, then
+    previous event: drain for dt at rate `drift`, clamped at zero, then
     either a jump B, (1, drift dt + B, B), or a collapse U,
-    (U, U drift dt, 0). The draws come from the same streams, in the same
-    calls, sizes and order as taking one event at a time: a batch holds
-    every event whose draws already sit in the prefetched blocks (at most
-    _BLOCK events), and only its front event refills blocks, in the order
-    pick, size, jump clock or multiplier, collapse clock. The multiplier
-    block runs out at every _BLOCK-th collapse, so a batch ends there and a
-    caller flushing its reservoir after it draws the keys where stepping
-    one event at a time would.
+    (U, U drift dt, 0); the Euler engine passes drift = 0 and steps the
+    segments between events itself. The draws come from the same streams,
+    in the same calls, sizes and order as taking one event at a time: a
+    batch holds every event whose draws already sit in the prefetched
+    blocks (at most _BLOCK events), and only its front event refills
+    blocks, in the order pick, size, jump clock or multiplier, collapse
+    clock. The multiplier block runs out at every _BLOCK-th collapse, so a
+    caller flushing its reservoir after a batch draws the keys where
+    stepping one event at a time would (see `batches`).
     """
 
-    def __init__(self, model, lam, collapse, rng):
-        (self._ecol, self._ejmp, self._pick, self._sizes, self._cuts,
-         self._umult) = _event_streams(model, lam, collapse, rng)
-        self._drift = model.drift_rate()
+    def __init__(self, model, lam, collapse, rng, drift):
+        parts = model.jump_parts()
+        g_tot = sum(g for g, _ in parts)
+        self._ecol = _Stream(rng, lambda r, n: r.exponential(1.0 / lam, n)) if lam > 0 else None
+        self._ejmp = _Stream(rng, lambda r, n: r.exponential(1.0 / g_tot, n)) if g_tot > 0 else None
+        self._pick = _Stream(rng, lambda r, n: r.random(n)) if len(parts) > 1 else None
+        self._sizes = [_Stream(rng, lambda r, n, j=jumps: j.sample(r, n)) for _, jumps in parts]
+        self._cuts = np.cumsum([g for g, _ in parts]) / g_tot if len(parts) > 1 else None
+        self._umult = _Stream(rng, lambda r, n: collapse.sample(r, n))
+        self._drift = drift
         self.t = 0.0
         self.n_collapses = 0
-        self.next_col = self.t + self._ecol.take() if self._ecol else math.inf
-        self.next_jmp = self.t + self._ejmp.take() if self._ejmp else math.inf
+        for s in (self._ecol, self._ejmp):  # the first epoch of each clock
+            if s is not None:
+                s.fill()
+                s.i = 1
+        self.next_col = float(self._ecol.buf[0]) if self._ecol else math.inf
+        self.next_jmp = float(self._ejmp.buf[0]) if self._ejmp else math.inf
 
     def _parts(self, p):
         return np.minimum(np.searchsorted(self._cuts, p, side="right"),
@@ -589,14 +573,22 @@ class _EventBatches:
             self._umult.fill()
             self._ecol.fill()
 
-    def batches(self, horizon: Optional[float], n_collapses: Optional[int]):
+    def batches(self, horizon: Optional[float], n_collapses: Optional[int],
+                front: Optional[Callable[[float], None]] = None):
         """Yield (dt, col, a, b, c) for each batch of events before horizon
-        and up to the n_collapses-th collapse; col marks the collapses."""
+        and up to the n_collapses-th collapse; col marks the collapses.
+
+        front, if given, is called with the front event's dt before its
+        blocks are refilled, for a caller that draws between events; such
+        a caller's batches also end right after each _BLOCK-th collapse.
+        """
         stop = math.inf if horizon is None else horizon
         last = math.inf if n_collapses is None else n_collapses
         ecol, ejmp, pick, sizes, umult = (self._ecol, self._ejmp, self._pick,
                                           self._sizes, self._umult)
         while self.n_collapses < last and min(self.next_col, self.next_jmp) < stop:
+            if front is not None:
+                front(min(self.next_col, self.next_jmp) - self.t)
             self._fill_front()
             # jump k needs pick k, its part's next size and jump clock k; the
             # first jump short of one is the first that cannot run
@@ -615,8 +607,8 @@ class _EventBatches:
                         nj = min(nj, int(over[0]))
                 jt = np.cumsum(np.concatenate(([self.next_jmp],
                                                ejmp.buf[ejmp.i:ejmp.i + nj])))
-            # collapse k needs multiplier k and collapse clock k; a batch that
-            # reaches the run's last collapse stops right after it
+            # collapse k needs multiplier k and collapse clock k; a batch stops
+            # right after the run's last collapse, with front also a block's last
             nc, c_stop = 0, self.next_col
             ct = np.array([self.next_col])
             if ecol is not None:
@@ -624,7 +616,8 @@ class _EventBatches:
                 nc = min(ecol.left(), umult.left(), cut)
                 ct = np.cumsum(np.concatenate(([self.next_col],
                                                ecol.buf[ecol.i:ecol.i + nc])))
-                c_stop = ct[nc - 1] if nc == cut else ct[nc]
+                done = nc == cut or (front is not None and 0 < nc == umult.left())
+                c_stop = ct[nc - 1] if done else ct[nc]
             # merge, jumps first at ties
             j_stop = jt[nj]
             nj = int(min(np.searchsorted(jt[:nj], c_stop, side="right"),
@@ -682,75 +675,100 @@ def _drain(z: np.ndarray, dt: np.ndarray, drift: float, pool: SamplePool):
     return np.maximum(q, 0.0), float(-q[below].sum())
 
 
-def _euler_run(model, lam, collapse, rng, z, step_h, visit, *,
-               horizon=None, n_collapses=None, pool=None):
-    """Event loop of the Euler engine for lanes z driven by the same noise.
+class _Euler:
+    """Euler segments between events, for lanes driven by the same noise.
 
-    z lists one level per lane. Between events every lane takes the same
-    Euler increments and is reflected through the discrete running-infimum
-    map; pool, if given, runs with a single lane and gains its time
-    totals. After each event,
-    visit(pre, u, z) gets the levels just before it, the collapse
-    multiplier (None for a jump) and the levels after it. Returns the
-    final levels, time and lane-0 regulator, the next collapse and jump
-    epochs and the number of collapses.
+    A segment of length dt takes ceil(dt / h) steps, the last one
+    shortened to fit. From level z, with partial sums of its increments
+    of total S and minimum m, the discrete running-infimum map ends it at
+    (z + S) - min(z + m, 0) = max(z + S, S - m): the map (1, S, S - m).
+    Steps fill rows of _ROW, a segment's last row padded with zero
+    increments, and each row is such a map of the level at its start, so
+    a segment cut between rows or chunks carries only its level. Segments
+    and the event maps between them are folded per lane in chunks of at
+    most _STEP_CAP cells, which bounds the memory whatever a segment's
+    length; each chunk's normals are one draw, in step order. With a pool
+    (one lane), the lane's time totals and pushes at zero are kept too.
     """
-    drift = model.drift_rate()
-    sig = math.sqrt(model.sigma2_total())
-    full_drift, full_sd = drift * step_h, sig * math.sqrt(step_h)
-    ecol, ejmp, pick, sizes, cuts, umult = _event_streams(model, lam, collapse, rng)
 
-    def advance(z, dt):
-        n = max(1, math.ceil(dt / step_h - 1e-9))
-        h_last = dt - step_h * (n - 1)
-        xi = rng.standard_normal(n)
-        incs = full_drift + full_sd * xi
-        incs[-1] = drift * h_last + sig * math.sqrt(h_last) * float(xi[-1])
-        s = np.cumsum(incs)
-        qs = [zk + s for zk in z]
-        if pool is None:
-            lows = [float(q.min()) for q in qs]
-        else:
-            low = np.minimum.accumulate(qs[0])
-            lows = [float(low[-1])]
-            w = qs[0] - np.minimum(low, 0.0)
-            hs = np.full(n, step_h)
-            hs[-1] = h_last
-            pool.time_total += dt
-            pool.time_integral += float(w @ hs)
-        return ([float(q[-1]) - min(low, 0.0) for q, low in zip(qs, lows)],
-                max(0.0, -lows[0]))
+    def __init__(self, model, step_h, rng, z, pool=None):
+        self.h, self.rng, self.pool, self.reg = float(step_h), rng, pool, 0.0
+        self.drift, self.sig = model.drift_rate(), math.sqrt(model.sigma2_total())
+        self.z = [float(v) for v in z]
+        # work space of one chunk, reused: fresh arrays this size cost page faults
+        self._cap = max(1, _STEP_CAP // _ROW)
+        self._x, self._s = np.empty(self._cap * _ROW), np.empty((self._cap, _ROW))
+        self._cells = np.ones((self._cap, _ROW), dtype=bool)  # all True between chunks
 
-    t = 0.0
-    reg = 0.0
-    ncol = 0
-    next_col = t + ecol.take() if ecol else math.inf
-    next_jmp = t + ejmp.take() if ejmp else math.inf
-    while True:
-        t_next = min(next_col, next_jmp)
-        if horizon is not None and t_next >= horizon:
-            if horizon > t:
-                z, pushed = advance(z, horizon - t)
-                reg += pushed
-            t = horizon
-            break
-        pre, pushed = advance(z, t_next - t)
-        reg += pushed
-        t = t_next
-        if next_jmp <= next_col:
-            u = None
-            jump = _take_jump(pick, sizes, cuts)
-            z = [zk + jump for zk in pre]
-            next_jmp = t + ejmp.take()
-        else:
-            u = umult.take()
-            z = [zk * u for zk in pre]
-            ncol += 1
-            next_col = t + ecol.take()
-        visit(pre, u, z)
-        if n_collapses is not None and ncol >= n_collapses:
-            break
-    return z, t, reg, next_col, next_jmp, ncol
+    def segment(self, dt: float) -> None:
+        """One segment of length dt, with no event after it."""
+        self.run(np.array([dt]), np.ones(1), np.zeros(1), np.zeros(1))
+
+    def run(self, dt, a, b, c, skip_front: bool = False):
+        """Segment k of length dt[k], then the event map (a[k], b[k], c[k]),
+        for each k; segment 0 is left out when skip_front (the caller ran it
+        before the batch's blocks were refilled). Returns per lane the levels
+        just before and just after each event."""
+        h = self.h
+        n = np.maximum(1.0, np.ceil(dt / h - 1e-9)).astype(np.int64)
+        h_last = dt - h * (n - 1)
+        if skip_front:
+            n[0] = 0
+        if self.pool is not None:
+            self.pool.time_total += float(dt[int(skip_front):].sum())
+        rows = -(-n // _ROW)
+        ends = np.cumsum(rows)  # rows up to the end of each segment
+        pre, post = ([np.empty(dt.size) for _ in self.z] for _ in range(2))
+        pos = k0 = 0
+        while k0 < dt.size:
+            # rows pos..stop-1 of the run, and the events of the segments
+            # k0..k1-1 that end among them
+            stop = min(pos + self._cap, int(ends[-1]))
+            k1 = int(np.searchsorted(ends, stop, side="right"))
+            g = np.arange(pos, stop)
+            seg = np.searchsorted(ends, g, side="right")
+            last = g == ends[seg] - 1
+            fill = np.where(last, n[seg] - (rows[seg] - 1) * _ROW, _ROW)
+            inc = self._x[:int(fill.sum())]
+            self.rng.standard_normal(out=inc)
+            tail, hl = np.cumsum(fill)[last] - 1, h_last[seg[last]]
+            x_tail = inc[tail]
+            inc *= self.sig * math.sqrt(h)
+            inc += self.drift * h
+            inc[tail] = self.drift * hl + self.sig * np.sqrt(hl) * x_tail
+            s, cells = self._s[:g.size], self._cells[:g.size]
+            s[last] = 0.0
+            cells[last] = np.arange(_ROW) < fill[last, None]
+            s[cells] = inc
+            cells[last] = True
+            np.cumsum(s, axis=1, out=s)
+            m = s.min(axis=1)
+            ev = ends[k0:k1] - pos
+            row = g - pos + np.searchsorted(ev, g - pos, side="right")
+            ev += np.arange(k1 - k0)
+            A, B, C = np.ones((3, g.size + k1 - k0))
+            A[ev], B[ev], C[ev] = a[k0:k1], b[k0:k1], c[k0:k1]
+            B[row], C[row] = s[:, -1], s[:, -1] - m
+            for i, z in enumerate(self.z):
+                lv = np.concatenate(([z], _fold(A, B, C, z)))
+                pre[i][k0:k1], post[i][k0:k1] = lv[ev], lv[ev + 1]
+                self.z[i] = float(lv[-1])
+            if self.pool is not None:  # one lane, whose levels are lv
+                # levels zr + s_j - min(zr + running min, 0), whose last term
+                # is 0 but on rows reflected at zero; steps weigh h, a
+                # segment's last step h_last, padding (its row's end) nothing
+                zr = lv[row]
+                dip = np.flatnonzero(zr + m < 0.0)
+                low = s[dip]
+                np.minimum.accumulate(low, axis=1, out=low)
+                np.minimum(low + zr[dip, None], 0.0, out=low)
+                end = zr[last] + s[last, -1] - np.minimum(zr[last] + m[last], 0.0)
+                self.pool.time_integral += (
+                    h * (_ROW * float(zr.sum()) + float(s.sum()) - float(low.sum()))
+                    + float(np.dot(end, hl - h * (_ROW + 1 - fill[last]))))
+                self.reg -= float((zr[dip] + m[dip]).sum())
+            pos, k0 = stop, k1
+        return pre, post
 
 
 def path_simulate(model: LevyModel, lam: float, collapse: CollapseLaw, *,
@@ -766,12 +784,14 @@ def path_simulate(model: LevyModel, lam: float, collapse: CollapseLaw, *,
 
     Event epochs (jumps of the compound part, collapses) come from
     competing exponential clocks. Between events a model without a
-    Brownian part moves along its drift exactly, clamped at zero, and its
-    events are folded in batches; with a Brownian part the segment is
-    Euler-discretized with step step_h and reflected through the discrete
-    running-infimum map. The pool collects the level immediately before
-    each collapse plus occupation-time totals; pass return_final=True to
-    also get the terminal PathState.
+    Brownian part moves along its drift exactly, clamped at zero; with a
+    Brownian part the segment is Euler-discretized with step step_h and
+    reflected through the discrete running-infimum map. Each event, and
+    each row of Euler steps, is a map z -> max(a z + b, c), folded in
+    batches that draw the same numbers as stepping one event at a time.
+    The pool collects the level immediately before each collapse plus
+    occupation-time totals; pass return_final=True to also get the
+    terminal PathState.
     """
     if (horizon is None) == (n_collapses is None):
         raise ConfigError("give exactly one of horizon or n_collapses")
@@ -791,47 +811,38 @@ def path_simulate(model: LevyModel, lam: float, collapse: CollapseLaw, *,
 
     pool = SamplePool(alphas, thresholds, reservoir_cap)
     held: list = []  # pre-collapse levels not yet pooled
-    n_held = 0
-
-    def hold(levels):
-        nonlocal n_held
-        held.append(levels)
-        n_held += len(levels)
-        if n_held >= _BLOCK:
-            pool.add(np.concatenate(held), rng)
-            held.clear()
-            n_held = 0
-
-    if sig2 > 0.0:
-        def visit(pre, u, z):
-            if u is not None:
-                hold(pre[:1])
-
-        (z,), t, reg, next_col, next_jmp, ncol = _euler_run(
-            model, lam, collapse, rng, [float(z0)], step_h, visit,
-            horizon=horizon, n_collapses=n_collapses, pool=pool)
-    else:
-        drift = model.drift_rate()
-        events = _EventBatches(model, lam, collapse, rng)
-        z, reg = float(z0), 0.0
-        for dt, col, a, b, c in events.batches(horizon, n_collapses):
+    drift = model.drift_rate()
+    euler = _Euler(model, step_h, rng, [z0], pool) if sig2 > 0.0 else None
+    events = _EventBatches(model, lam, collapse, rng, drift if euler is None else 0.0)
+    z, reg = float(z0), 0.0
+    for dt, col, a, b, c in events.batches(horizon, n_collapses, euler and euler.segment):
+        if euler is not None:
+            (pre,), _ = euler.run(dt, a, b, c, skip_front=True)
+        else:
             levels = _fold(a, b, c, z)
             pre, pushed = _drain(np.concatenate(([z], levels[:-1])), dt, drift, pool)
             reg += pushed
-            hold(pre[col])
             z = float(levels[-1])
-        t = events.t
-        if horizon is not None:
-            if horizon > t:
-                end, pushed = _drain(np.array([z]), np.array([horizon - t]), drift, pool)
-                z = float(end[0])
-                reg += pushed
-            t = horizon
-        next_col, next_jmp, ncol = events.next_col, events.next_jmp, events.n_collapses
+        held.append(pre[col])
+        if events.n_collapses % _BLOCK == 0:  # a batch ends at each such collapse
+            pool.add(np.concatenate(held), rng)
+            held.clear()
+    t = events.t
+    if horizon is not None:
+        if horizon > t and euler is not None:
+            euler.segment(horizon - t)
+        elif horizon > t:
+            end, pushed = _drain(np.array([z]), np.array([horizon - t]), drift, pool)
+            z = float(end[0])
+            reg += pushed
+        t = horizon
+    if euler is not None:
+        (z,), reg = euler.z, euler.reg
     if held:
         pool.add(np.concatenate(held), rng)
     if return_final:
-        state = PathState(t, z, reg, next_col, next_jmp, ncol, stream_id)
+        state = PathState(t, z, reg, events.next_col, events.next_jmp,
+                          events.n_collapses, stream_id)
         return pool, state
     return pool
 
@@ -844,8 +855,10 @@ def coupling_check(model: LevyModel, lam: float, collapse: CollapseLaw,
 
     Returns (violation, min_gap): the largest positive excess of the gap
     over (y0 - x0) times the multiplier product, taken at collapse
-    epochs, and the smallest gap seen at any event epoch. Both stay at
-    rounding level for exact engines; Euler paths inherit O(sqrt(h)).
+    epochs, and the smallest gap seen at any event epoch. Both paths are
+    folds of the same increasing maps, which never widen the gap (with a
+    Brownian part, the rows of Euler steps are such maps too), so the
+    violation stays at rounding level and the gap cannot turn negative.
     """
     if not 0.0 <= x0 <= y0:
         raise DomainError("need 0 <= x0 <= y0")
@@ -855,37 +868,23 @@ def coupling_check(model: LevyModel, lam: float, collapse: CollapseLaw,
     sig2 = model.sigma2_total()
     if sig2 > 0 and step_h is None:
         raise ConfigError("step_h is required when the model has a Brownian part")
-    gap0 = y0 - x0
-    pi = 1.0
-    violation = 0.0
-    min_gap = gap0
-
-    if sig2 > 0.0:
-        def visit(pre, u, z):
-            nonlocal pi, violation, min_gap
-            gap = z[1] - z[0]
-            if u is not None:
-                pi *= u
-                violation = max(violation, gap - gap0 * pi)
-            min_gap = min(min_gap, gap)
-
-        _euler_run(model, lam, collapse, rng, [float(x0), float(y0)], step_h, visit,
-                   n_collapses=n_collapses)
-        return violation, min_gap
-
-    # both paths are one fold of the same increasing maps, so the gap
-    # cannot turn negative
+    gap0, pi, violation, min_gap = y0 - x0, 1.0, 0.0, y0 - x0
+    euler = _Euler(model, step_h, rng, [x0, y0]) if sig2 > 0.0 else None
+    events = _EventBatches(model, lam, collapse, rng,
+                           model.drift_rate() if euler is None else 0.0)
     zx, zy = float(x0), float(y0)
-    for _, col, a, b, c in _EventBatches(model, lam, collapse, rng).batches(
-            None, n_collapses):
-        lx, ly = _fold(a, b, c, zx), _fold(a, b, c, zy)
+    for dt, col, a, b, c in events.batches(None, n_collapses, euler and euler.segment):
+        if euler is not None:
+            _, (lx, ly) = euler.run(dt, a, b, c, skip_front=True)
+        else:
+            lx, ly = _fold(a, b, c, zx), _fold(a, b, c, zy)
+            zx, zy = float(lx[-1]), float(ly[-1])
         gap = ly - lx
         pis = np.cumprod(np.concatenate(([pi], a[col])))
         if pis.size > 1:
             violation = max(violation, float(np.max(gap[col] - gap0 * pis[1:])))
         min_gap = min(min_gap, float(gap.min()))
         pi = float(pis[-1])
-        zx, zy = float(lx[-1]), float(ly[-1])
     return violation, min_gap
 
 

@@ -1,4 +1,4 @@
-"""The exact engines against one-lane, one-event-at-a-time references.
+"""The engines against one-lane, one-event-at-a-time references.
 
 The embedded chain, the exact path and the coupling check fold their
 events in array batches of increasing maps z -> max(a z + b, c), but must
@@ -8,6 +8,13 @@ from the same seed and requires the same generator calls (method,
 arguments, order), identical counts, zeros, exceedances and reservoir
 keys, and levels, pool sums, time totals and terminal state equal up to
 rounding (1e-10 relative).
+
+The Euler engine folds its segments too: each row of Euler steps and
+each event is such a map. Batching merges its normal draws into fewer
+calls, so its comparisons require the same values drawn per distribution
+and the same final generator state instead of the same call list, and
+otherwise the same as above. Its reference steps one event at a time
+and draws one segment's normals per call.
 
 The backward representation draws its rounds only for the lanes still
 above the truncation level. Its reference keeps a list of live lanes and
@@ -40,6 +47,7 @@ from levy_collapse import (
     path_simulate,
     replication_rng,
 )
+from levy_collapse import simulate
 from levy_collapse.simulate import _BLOCK, _exact_wl, _fold
 
 UNI = Uniform01()
@@ -51,23 +59,30 @@ PARETO15 = CppMinusDrift(1.0, 0.8, Pareto(1.5, 1.0 / 3.0))
 ERLANG = CppMinusDrift(1.0, 1.0, Erlang(3, 4.0))
 RARE = CppMinusDrift(1.0, 0.05, Exponential(2.0))
 BUSY = CppMinusDrift(25.0, 20.0, Exponential(1.0))
+BM_SUM2 = Sum((BrownianDrift(0.3, 0.5),) + SUM2.parts)  # Euler, with jumps
+BM_LOW = BrownianDrift(0.0, 1.0)  # coupled lanes that stay apart for a while
 POOL_KW = dict(alphas=(0.5, 2.0), thresholds=(0.5, 3.0), reservoir_cap=20_000)
 RTOL = 1e-10
 
 
 class _Recorder:
-    """Generator proxy that logs every draw call with its arguments."""
+    """Generator proxy that logs every draw call with its arguments, and
+    the values drawn per method."""
 
     def __init__(self, rng):
         self.rng = rng
         self.calls = []
+        self.values = {}
 
     def __getattr__(self, name):
         draw = getattr(self.rng, name)
 
         def call(*args, **kwargs):
             self.calls.append((name, repr(args), repr(kwargs)))
-            return draw(*args, **kwargs)
+            out = draw(*args, **kwargs)
+            drawn = np.array(kwargs.get("out", out), dtype=float).ravel()
+            self.values.setdefault(name, []).append(drawn)
+            return out
         return call
 
 
@@ -77,6 +92,18 @@ def recorders(seed, rep):
 
 def assert_same_draws(new, ref):
     assert new.calls == ref.calls
+    assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def assert_same_values(new, ref):
+    """Same values drawn per method, however the calls were split."""
+    def drawn(rec):
+        return {k: np.concatenate(v) for k, v in rec.values.items()
+                if any(x.size for x in v)}
+    got, want = drawn(new), drawn(ref)
+    assert got.keys() == want.keys()
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name])
     assert new.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
@@ -245,6 +272,111 @@ def ref_coupling(model, lam, collapse, x0, y0, n_collapses, rng):
     return violation, min_gap
 
 
+def ref_euler(model, lam, collapse, rng, z, step_h, visit, *, horizon=None,
+              n_collapses=None, pool=None):
+    """Euler event loop for lanes z driven by the same noise.
+
+    Between events every lane takes the same Euler increments and is
+    reflected through the discrete running-infimum map; pool, if given,
+    runs with a single lane and gains its time totals. After each event
+    visit(pre, u, z) gets the levels just before it, the collapse
+    multiplier (None for a jump) and the levels after it. Returns the
+    final levels, time and lane-0 regulator, the next collapse and jump
+    epochs and the number of collapses.
+    """
+    drift = model.drift_rate()
+    sig = math.sqrt(model.sigma2_total())
+    full_drift, full_sd = drift * step_h, sig * math.sqrt(step_h)
+    ecol, ejmp, jump, umult = _ref_streams(model, lam, collapse, rng)
+
+    def advance(z, dt):
+        n = max(1, math.ceil(dt / step_h - 1e-9))
+        h_last = dt - step_h * (n - 1)
+        xi = rng.standard_normal(n)
+        incs = full_drift + full_sd * xi
+        incs[-1] = drift * h_last + sig * math.sqrt(h_last) * float(xi[-1])
+        s = np.cumsum(incs)
+        qs = [zk + s for zk in z]
+        if pool is None:
+            lows = [float(q.min()) for q in qs]
+        else:
+            low = np.minimum.accumulate(qs[0])
+            lows = [float(low[-1])]
+            w = qs[0] - np.minimum(low, 0.0)
+            hs = np.full(n, step_h)
+            hs[-1] = h_last
+            pool.time_total += dt
+            pool.time_integral += float(w @ hs)
+        return ([float(q[-1]) - min(low, 0.0) for q, low in zip(qs, lows)],
+                max(0.0, -lows[0]))
+
+    t, reg, ncol = 0.0, 0.0, 0
+    next_col = t + ecol.take() if ecol else math.inf
+    next_jmp = t + ejmp.take() if ejmp else math.inf
+    while True:
+        t_next = min(next_col, next_jmp)
+        if horizon is not None and t_next >= horizon:
+            if horizon > t:
+                z, pushed = advance(z, horizon - t)
+                reg += pushed
+            t = horizon
+            break
+        pre, pushed = advance(z, t_next - t)
+        reg += pushed
+        t = t_next
+        if next_jmp <= next_col:
+            u = None
+            b = jump()
+            z = [zk + b for zk in pre]
+            next_jmp = t + ejmp.take()
+        else:
+            u = umult.take()
+            z = [zk * u for zk in pre]
+            ncol += 1
+            next_col = t + ecol.take()
+        visit(pre, u, z)
+        if n_collapses is not None and ncol >= n_collapses:
+            break
+    return z, t, reg, next_col, next_jmp, ncol
+
+
+def ref_euler_path(model, lam, collapse, *, rng, step_h, horizon=None,
+                   n_collapses=None, z0=0.0, **kw):
+    pool = SamplePool(kw.get("alphas", ()), kw.get("thresholds", ()),
+                      kw.get("reservoir_cap", 100_000))
+    buf = []
+
+    def visit(pre, u, z):
+        if u is not None:
+            buf.append(pre[0])
+            if len(buf) >= _BLOCK:
+                pool.add(np.asarray(buf), rng)
+                buf.clear()
+
+    (z,), t, reg, next_col, next_jmp, ncol = ref_euler(
+        model, lam, collapse, rng, [float(z0)], step_h, visit, horizon=horizon,
+        n_collapses=n_collapses, pool=pool)
+    if buf:
+        pool.add(np.asarray(buf), rng)
+    return pool, PathState(t, z, reg, next_col, next_jmp, ncol, None)
+
+
+def ref_euler_coupling(model, lam, collapse, x0, y0, n_collapses, rng, step_h):
+    gap0, pi, violation, min_gap = y0 - x0, 1.0, 0.0, y0 - x0
+
+    def visit(pre, u, z):
+        nonlocal pi, violation, min_gap
+        gap = z[1] - z[0]
+        if u is not None:
+            pi *= u
+            violation = max(violation, gap - gap0 * pi)
+        min_gap = min(min_gap, gap)
+
+    ref_euler(model, lam, collapse, rng, [float(x0), float(y0)], step_h, visit,
+              n_collapses=n_collapses)
+    return violation, min_gap
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 # ---------------------------------------------------------------------------
@@ -368,6 +500,82 @@ def test_coupling_fold_draws_what_the_loop_draws(model, collapse, x0, y0, n):
     assert abs(v_new - v_ref) <= 1e-12 * y0
     assert abs(g_new - g_ref) <= 1e-12 * y0
     assert g_new >= 0.0
+
+
+@pytest.mark.parametrize("model,collapse,n,h", [
+    (BM, UNI, _BLOCK + 4000, 0.5),          # coarse: a few steps per segment
+    (BM_SUM2, Beta1(4.0), _BLOCK + 4000, 0.5),  # jumps after the reservoir flush
+    (BM_SUM2, UNI, 3000, 0.01),
+])
+def test_euler_fold_draws_what_the_loop_draws(model, collapse, n, h):
+    r_new, r_ref = recorders(57, 7)
+    new, s_new = path_simulate(model, 1.0, collapse, n_collapses=n, step_h=h,
+                               rng=r_new, return_final=True, **POOL_KW)
+    ref, s_ref = ref_euler_path(model, 1.0, collapse, n_collapses=n, step_h=h,
+                                rng=r_ref, **POOL_KW)
+    assert_same_values(r_new, r_ref)
+    assert_same_pool(new, ref)
+    assert_same_state(s_new, s_ref)
+
+
+@pytest.mark.parametrize("model,lam,horizon,z0,h", [
+    (BM_SUM2, 0.7, 300.0, 2.5, 0.01),
+    (BM, 0.0, 20.0, 1.0, 0.001),    # no events: one segment of 20,000 steps
+    (BM_SUM2, 1.0, 0.0, 1.0, 0.01),
+])
+def test_euler_fold_horizon_mode(model, lam, horizon, z0, h):
+    r_new, r_ref = recorders(58, 8)
+    new, s_new = path_simulate(model, lam, UNI, horizon=horizon, z0=z0, step_h=h,
+                               rng=r_new, return_final=True, stream_id=4, **POOL_KW)
+    ref, s_ref = ref_euler_path(model, lam, UNI, horizon=horizon, z0=z0, step_h=h,
+                                rng=r_ref, **POOL_KW)
+    assert_same_values(r_new, r_ref)
+    assert_same_pool(new, ref)
+    assert_same_state(s_new, s_ref)
+    assert s_new.stream_id == 4
+
+
+@pytest.mark.parametrize("model,collapse,x0,y0,n,h", [
+    (BM_SUM2, UNI, 1.0, 6.0, 3000, 0.01),
+    (BM_LOW, Beta1(9.0), 0.0, 4.0, 8, 0.01),  # min_gap 0.86
+])
+def test_euler_coupling_fold_draws_what_the_loop_draws(model, collapse, x0, y0, n, h):
+    r_new, r_ref = recorders(59, 12)
+    v_new, g_new = coupling_check(model, 1.0, collapse, x0, y0, n, r_new, step_h=h)
+    v_ref, g_ref = ref_euler_coupling(model, 1.0, collapse, x0, y0, n, r_ref, h)
+    assert_same_values(r_new, r_ref)
+    assert abs(v_new - v_ref) <= RTOL * y0
+    assert abs(g_new - g_ref) <= RTOL * y0
+    assert g_new >= 0.0
+
+
+def test_euler_segments_split_across_chunks(monkeypatch):
+    # two rows of 128 steps per chunk, so a segment of about 1,000 steps at
+    # h = 1e-3 runs through several chunks
+    monkeypatch.setattr(simulate, "_STEP_CAP", 257)
+    r_new, r_ref = recorders(60, 10)
+    new, s_new = path_simulate(BM, 1.0, UNI, n_collapses=300, step_h=1e-3,
+                               rng=r_new, return_final=True, **POOL_KW)
+    ref, s_ref = ref_euler_path(BM, 1.0, UNI, n_collapses=300, step_h=1e-3,
+                                rng=r_ref, **POOL_KW)
+    assert_same_values(r_new, r_ref)
+    assert_same_pool(new, ref)
+    assert_same_state(s_new, s_ref)
+    r_new, r_ref = recorders(60, 11)
+    new, s_new = path_simulate(BM_SUM2, 0.7, UNI, horizon=40.0, z0=2.5, step_h=1e-3,
+                               rng=r_new, return_final=True, **POOL_KW)
+    ref, s_ref = ref_euler_path(BM_SUM2, 0.7, UNI, horizon=40.0, z0=2.5, step_h=1e-3,
+                                rng=r_ref, **POOL_KW)
+    assert_same_values(r_new, r_ref)
+    assert_same_pool(new, ref)
+    assert_same_state(s_new, s_ref)
+    r_new, r_ref = recorders(60, 9)
+    v_new, g_new = coupling_check(BM_LOW, 1.0, Beta1(9.0), 0.0, 4.0, 8, r_new, step_h=1e-3)
+    v_ref, g_ref = ref_euler_coupling(BM_LOW, 1.0, Beta1(9.0), 0.0, 4.0, 8, r_ref, 1e-3)
+    assert_same_values(r_new, r_ref)
+    assert abs(v_new - v_ref) <= RTOL * 4.0
+    assert abs(g_new - g_ref) <= RTOL * 4.0
+    assert g_ref > 0.1
 
 
 # ---------------------------------------------------------------------------

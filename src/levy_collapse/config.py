@@ -26,12 +26,12 @@ from .models import (
 from .simulate import _EPS_TRUNC, _RESERVOIR_CAP
 
 _ENGINES = ("embedded", "loynes", "path")
-_DEFAULT_BURN = 1_000
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters; immutable so runs are reproducible."""
+    """Validated run parameters; immutable so runs are reproducible. The
+    field defaults are the defaults of the config keys."""
 
     model: LevyModel
     collapse: CollapseLaw
@@ -41,7 +41,7 @@ class RunConfig:
     n_moments: int = 2
     engine: str = "embedded"
     n_samples: int = 100_000
-    n_burn: int = _DEFAULT_BURN
+    n_burn: int = 1_000
     step_h: Optional[float] = None
     horizon: Optional[float] = None
     eps_trunc: float = _EPS_TRUNC
@@ -252,22 +252,23 @@ def parse_config(text: str) -> RunConfig:
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValidationError("thresholds must be strictly increasing")
 
-    n_moments = f.int_("n_moments", 2)
-    engine = f.str_("engine", "embedded")
+    d = RunConfig  # the class attributes hold the field defaults
+    n_moments = f.int_("n_moments", d.n_moments)
+    engine = f.str_("engine", d.engine)
     if engine not in _ENGINES:
         raise ValidationError(f"engine must be one of {', '.join(_ENGINES)}")
-    n_samples = f.int_("n_samples", 100_000)
-    n_burn = f.int_("n_burn", _DEFAULT_BURN)
+    n_samples = f.int_("n_samples", d.n_samples)
+    n_burn = f.int_("n_burn", d.n_burn)
     step_h = f.float_("step_h")
     horizon = f.float_("horizon")
-    eps_trunc = f.float_("eps_trunc", _EPS_TRUNC)
-    reservoir_cap = f.int_("reservoir_cap", _RESERVOIR_CAP)
-    z0 = f.float_("z0", 0.0)
+    eps_trunc = f.float_("eps_trunc", d.eps_trunc)
+    reservoir_cap = f.int_("reservoir_cap", d.reservoir_cap)
+    z0 = f.float_("z0", d.z0)
     master_seed = f.int_("master_seed")
-    out_dir = f.str_("out", "out")
-    threads = f.int_("threads", 1)
-    replications = f.int_("replications", 0)
-    suite = f.str_("suite", "all")
+    out_dir = f.str_("out", d.out_dir)
+    threads = f.int_("threads", d.threads)
+    replications = f.int_("replications", d.replications)
+    suite = f.str_("suite", d.suite)
     tols = f.finish_prefixless()
 
     if n_moments < 0:

@@ -39,7 +39,6 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
 from .errors import (DomainError, ModelError, QuadratureFailure,
@@ -172,8 +171,10 @@ def _jacobi_rule(n: int, expo: float) -> Tuple[np.ndarray, np.ndarray]:
     tridiagonal Jacobi matrix of the weight (1 - x)^expo on [-1, 1]; each
     weight is 1 / ((expo + 1) sum_k p_k(x)^2) over the orthonormal
     polynomials, run through their three-term recurrence. A sum that
-    overflows (n = 1536 at expo = 140; 768 at expo = 150 comes within a
-    factor 4) belongs to a weight below the smallest double, which is 0.
+    overflows (n = 1536 from expo = 140, 768 from 151, 384 from 275) belongs
+    to a weight below the smallest double, which is 0; so does a sum that
+    the recurrence then drives into inf - inf = nan (768 nodes from expo
+    = 540, 384 from 7700).
     """
     a = float(expo)
     k = np.arange(1.0, n)
@@ -182,22 +183,17 @@ def _jacobi_rule(n: int, expo: float) -> Tuple[np.ndarray, np.ndarray]:
     off = 2.0 * k * (k + a) / (t * np.sqrt((t + 1.0) * (t - 1.0)))
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))  # reads the lower triangle
     p0, p1, tot = np.zeros(n), np.ones(n), np.ones(n)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n - 1):
             p0, p1 = p1, ((x - diag[j]) * p1 - (off[j - 1] if j else 0.0) * p0) / off[j]
             tot += p1 * p1
-    return (1.0 - x) / 2.0, 1.0 / (a + 1.0) / tot
+    return (1.0 - x) / 2.0, 1.0 / (a + 1.0) / np.where(np.isnan(tot), np.inf, tot)
 
 
 @lru_cache(maxsize=16)
 def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     x, w = leggauss(n)
     return (x + 1.0) / 2.0, w / 2.0
-
-
-@lru_cache(maxsize=4)
-def _laguerre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    return laggauss(n)
 
 
 def _clenshaw(coef: np.ndarray, u: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -267,10 +263,6 @@ def _poly_no_constant(u: np.ndarray, coef: Sequence[float]) -> np.ndarray:
     return poly
 
 
-# beyond this power the endpoint weight is better handled by the exponential
-# substitution (Gauss-Laguerre) than by a Gauss-Jacobi rule
-_POWER_GAUSS_MAX = 150.0
-
 _EPS = 2.2e-16
 # order of the root expansion of the remainders (half-width 0.03 * root
 # keeps its truncation below the direct formulas' cancellation noise)
@@ -289,13 +281,20 @@ _SLIVER = 2.0 ** -16
 _CHUNK = 1 << 15
 
 # E f(scale U): Gauss nodes per piece tried in turn, the agreement two
-# consecutive rungs must reach, and the number of dyadic halvings below
-# min(scale, root). The grading stops there because every alpha below the
-# sliver edge of a heavy-tailed model costs a 64-point remainder
-# integral of its own
+# consecutive rungs must reach, and the two bounds on the grading depth (see
+# `_collapse_ladder`). The halvings stop above the sliver edge, below which
+# every alpha costs a heavy-tailed model a 64-point remainder integral of
+# its own. The span stops them once the weight t^theta has fallen by 2^30
+# from min(scale, root): a deeper cut would grade a region the weight all
+# but ignores, where the innermost Gauss-Jacobi piece, exact for the weight,
+# needs none. So theta <= 3 keeps all ten halvings and theta > 30 has no
+# cut, a decade below theta = 300, where Legendre pieces, whose weight falls
+# by 2^(theta-1) over an octave, start to lose digits (2e-13 at 1.5 root with
+# ten halvings, against 2e-14 from one piece; M/M/1 fails at theta = 2000)
 _COLLAPSE_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128)
 _COLLAPSE_TOL = 1e-12
 _COLLAPSE_HALVINGS = 10
+_COLLAPSE_SPAN = 30.0
 # bound on the memo of collapse-average pieces of one solution
 _PIECES_CAP = 1 << 14
 
@@ -566,16 +565,6 @@ class StationarySolution:
 
     # -- fixed-rule transform evaluation --------------------------------------
 
-    def _tail_rule(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """n-point rule for int_0^1 s^(theta K) u(s) ds; beyond
-        _POWER_GAUSS_MAX the weight is too stiff for a Jacobi rule and
-        s = exp(-v/(1+theta K)) turns it into a Gauss-Laguerre one."""
-        if self._tK > _POWER_GAUSS_MAX:
-            T, W = _laguerre_rule(n)
-            r = 1.0 + self._tK
-            return np.exp(-T / r), W / r
-        return _jacobi_rule(n, self._tK)
-
     def _pick_tail_rule(self) -> Tuple[np.ndarray, np.ndarray]:
         # the 0.004*A probe exposes the weak endpoint kink that heavy-tailed
         # jump transforms put at zero, the 2*A probe the integral above the
@@ -583,10 +572,9 @@ class StationarySolution:
         A = self.alpha_lambda
         below = np.array([0.004, 0.11, 0.52, 0.9]) * A
         above = np.array([2.0 * A])
-        ladder = (64, 96, 128) if self._tK > _POWER_GAUSS_MAX else (96, 192, 384, 768)
         prev = None
-        for n in ladder:
-            S, W = self._tail_rule(n)
+        for n in (96, 192, 384, 768):
+            S, W = _jacobi_rule(n, self._tK)
             vals = np.concatenate([self._below_integral(below, S, W),
                                    self._above_integral(above, S, W)])
             if prev is not None and np.all(np.abs(vals - prev) <= 4e-12 * (np.abs(vals) + 1.0)):
@@ -676,23 +664,19 @@ class StationarySolution:
         return self._gA - scale * float(tail[0])
 
     def mean_lst_collapsed(self, scale: float) -> float:
-        """E f(scale * U) for the Beta(theta, 1) multiplier U."""
+        """E f(scale * U) for the Beta(theta, 1) multiplier U.
+
+        Every theta takes the same composite rule, which must pass its own
+        rung-against-rung check (`_collapse_ladder`); only the grading of
+        its pieces depends on theta. For theta above _COLLAPSE_SPAN the
+        average is a single Gauss-Jacobi sum over [0, scale], whose rule is
+        exact for the t^(theta-1) weight however close to t = 1 it crowds.
+        """
         if scale == 0.0:
             return 1.0
         if scale < self._lo:
             raise DomainError(f"scale = {scale} below the analytic margin {self._lo}")
-        scale, th = float(scale), self.theta
-        if th <= _POWER_GAUSS_MAX:
-            return self._collapse_ladder(scale)
-        # t^(theta-1) mass sits within O(1/theta) of 1; substituting
-        # t = exp(-u/theta) gives a plain exp(-u) weight
-        hit = self._pieces.get(scale)
-        if hit is None:
-            T, W = _laguerre_rule(96)
-            hit = float(W @ self._lst_many(scale * np.exp(-T / th)))
-            if len(self._pieces) < _PIECES_CAP:
-                self._pieces[scale] = hit
-        return hit
+        return self._collapse_ladder(float(scale))
 
     def _collapse_ladder(self, scale: float) -> float:
         """Composite rule for int_0^scale theta (x/scale)^(theta-1) f(x) dx/scale
@@ -700,7 +684,8 @@ class StationarySolution:
         _COLLAPSE_TOL; the finer one is returned.
 
         The cuts are the binary multiples of the root in
-        [min(|scale|, root) 2^-10, |scale|), then scale itself: no piece
+        [min(|scale|, root) 2^-h, |scale|), then scale itself, at the depth
+        h = min(_COLLAPSE_HALVINGS, floor(_COLLAPSE_SPAN / theta)): no piece
         straddles the branch switch at the root, the pieces grade down toward
         zero, where heavy-tailed transforms have their alpha^delta kink and
         nearby negative poles limit the convergence of a single piece, and
@@ -710,15 +695,20 @@ class StationarySolution:
         (b/scale)^theta. The innermost piece [0, c] carries the weight's
         singularity: a Gauss-Jacobi rule for s^(theta-1) when theta >= 1, the
         substitution v = s^theta below that (Jacobi rules lose digits as
-        their exponent approaches -1).
+        their exponent approaches -1). At h = 0 (theta > _COLLAPSE_SPAN)
+        there is no cut, not even at the root: [0, scale] is that innermost
+        piece, and the transform is smooth where its weight lies.
         """
         A, th, mag = self.alpha_lambda, self.theta, abs(scale)
-        # the first cut is the least A 2^k at or above min(|scale|, A) 2^-10
-        (mA, eA), (mlo, elo) = math.frexp(A), math.frexp(min(mag, A) / 2**_COLLAPSE_HALVINGS)
-        cut, edges = math.ldexp(A, elo - eA + (mA < mlo)), [0.0]
-        while cut < mag:
-            edges.append(cut)
-            cut *= 2.0
+        depth = int(min(_COLLAPSE_HALVINGS, _COLLAPSE_SPAN // th))
+        edges = [0.0]
+        if depth:
+            # the first cut is the least A 2^k at or above min(|scale|, A) 2^-depth
+            (mA, eA), (mlo, elo) = math.frexp(A), math.frexp(min(mag, A) / 2**depth)
+            cut = math.ldexp(A, elo - eA + (mA < mlo))
+            while cut < mag:
+                edges.append(cut)
+                cut *= 2.0
         edges = np.copysign(edges + [mag], scale)
         weights = (edges[1:] / scale) ** th
         prev = None

@@ -72,12 +72,15 @@ def test_parse_canonical_config_and_defaults():
     assert cfg.alphas == (0.0, 0.5, 1.0, 2.0)
     assert cfg.master_seed == 42
     # untouched keys keep their documented defaults
+    assert cfg.n_moments == 2
     assert cfg.engine == "embedded"
     assert cfg.n_samples == 100_000
     assert cfg.n_burn == 1000
     assert cfg.threads == 1
     assert cfg.replications == 0
     assert cfg.eps_trunc == 1e-12
+    assert cfg.reservoir_cap == 100_000
+    assert cfg.z0 == 0.0
     assert cfg.suite == "all"
     assert cfg.out_dir == "out"
     assert cfg.tol("anything", 0.25) == 0.25

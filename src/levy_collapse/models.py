@@ -57,10 +57,21 @@ def _upper_gamma(a: float, z: float) -> float:
     Legendre's continued fraction (DLMF 8.9.2), by modified Lentz. It has
     no pole at the non-positive integers and keeps its relative accuracy
     where Gamma(a, z) is as small as e^-z; for z > 2 and |a| <= ~12 it
-    converges in at most ~66 steps, and in 4-9 for z >= 50. Orders well
-    above z cost digits (3e-11 relative at a = 9.7, z = 2); only the highest
-    derivatives of the root series ask for them.
+    converges in at most ~66 steps, and in 4-9 for z >= 50. Orders above
+    z + 1 would cost it digits (9e-9 relative at a = 12, z = 2); there
+    Gamma(a, z) = Gamma(a) - gamma(a, z) with the lower function from its
+    series of positive terms (DLMF 8.7.1), and gamma(a, z) is at most about
+    half of Gamma(a), so the difference does not cancel. Only the highest
+    derivatives of the root series ask for such orders.
     """
+    if a > z + 1.0:
+        term = total = 1.0 / a
+        k = 1
+        while term > 1e-17 * total:
+            term *= z / (a + k)
+            total += term
+            k += 1
+        return math.gamma(a) - z**a * math.exp(-z) * total
     b = z + 1.0 - a
     d = 1.0 / (b or 1e-300)
     c, h = 1e300, d

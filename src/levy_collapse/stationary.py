@@ -280,17 +280,19 @@ _SLIVER = 2.0 ** -16
 # bounds the temporaries whatever the number of alphas
 _CHUNK = 1 << 15
 
-# E f(scale U): Gauss nodes per piece tried in turn, the agreement two
-# consecutive rungs must reach, and the two bounds on the grading depth (see
-# `_collapse_ladder`). The halvings stop above the sliver edge, below which
-# every alpha costs a heavy-tailed model a 64-point remainder integral of
-# its own. The span stops them once the weight t^theta has fallen by 2^30
-# from min(scale, root): a deeper cut would grade a region the weight all
-# but ignores, where the innermost Gauss-Jacobi piece, exact for the weight,
-# needs none. So theta <= 3 keeps all ten halvings and theta > 30 has no
-# cut, a decade below theta = 300, where Legendre pieces, whose weight falls
-# by 2^(theta-1) over an octave, start to lose digits (2e-13 at 1.5 root with
-# ten halvings, against 2e-14 from one piece; M/M/1 fails at theta = 2000)
+# E f(scale U): Gauss nodes per piece tried in turn, the total error budget
+# of the average, shared among its pieces by weight (two consecutive rungs
+# of a piece must agree to its share), and the two bounds on the grading
+# depth (see `_collapse_ladder`). The halvings stop above the sliver edge,
+# below which every alpha costs a heavy-tailed model a 64-point remainder
+# integral of its own. The span stops them once the weight t^theta has
+# fallen by 2^30 from min(scale, root): a deeper cut would grade a region
+# the weight all but ignores, where the innermost Gauss-Jacobi piece, exact
+# for the weight, needs none. So theta <= 3 keeps all ten halvings and
+# theta > 30 has no cut, a decade below theta = 300, where Legendre pieces,
+# whose weight falls by 2^(theta-1) over an octave, start to lose digits
+# (2e-13 at 1.5 root with ten halvings, against 2e-14 from one piece; M/M/1
+# fails at theta = 2000)
 _COLLAPSE_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128)
 _COLLAPSE_TOL = 1e-12
 _COLLAPSE_HALVINGS = 10
@@ -666,9 +668,10 @@ class StationarySolution:
     def mean_lst_collapsed(self, scale: float) -> float:
         """E f(scale * U) for the Beta(theta, 1) multiplier U.
 
-        Every theta takes the same composite rule, which must pass its own
-        rung-against-rung check (`_collapse_ladder`); only the grading of
-        its pieces depends on theta. For theta above _COLLAPSE_SPAN the
+        Every theta takes the same composite rule, each piece of which must
+        pass its own rung-against-rung check, within its share of the total
+        budget _COLLAPSE_TOL (`_collapse_ladder`); only the grading of the
+        pieces depends on theta. For theta above _COLLAPSE_SPAN the
         average is a single Gauss-Jacobi sum over [0, scale], whose rule is
         exact for the t^(theta-1) weight however close to t = 1 it crowds.
         """
@@ -679,9 +682,16 @@ class StationarySolution:
         return self._collapse_ladder(float(scale))
 
     def _collapse_ladder(self, scale: float) -> float:
-        """Composite rule for int_0^scale theta (x/scale)^(theta-1) f(x) dx/scale
-        at growing node counts until two consecutive sums agree to
-        _COLLAPSE_TOL; the finer one is returned.
+        """Composite rule for int_0^scale theta (x/scale)^(theta-1) f(x) dx/scale,
+        each piece at growing node counts until two consecutive sums of it
+        agree to its share of the total budget _COLLAPSE_TOL.
+
+        A piece [a, b] of N gets _COLLAPSE_TOL / N of the weighted sum, so
+        its rungs must agree to _COLLAPSE_TOL / N / (b/scale)^theta. A piece
+        that settles keeps its finer rung and leaves the batch; each rung
+        evaluates the unsettled pieces in one `_lst_many` call, so a piece
+        that needs a high rung (the innermost one for theta < 1, whose
+        substitution converges algebraically) does not drag the others up.
 
         The cuts are the binary multiples of the root in
         [min(|scale|, root) 2^-h, |scale|), then scale itself, at the depth
@@ -711,9 +721,12 @@ class StationarySolution:
                 cut *= 2.0
         edges = np.copysign(edges + [mag], scale)
         weights = (edges[1:] / scale) ** th
-        prev = None
+        share = _COLLAPSE_TOL / len(weights)
+        spans = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+        prev, done = [None] * len(spans), [None] * len(spans)
         for n in _COLLAPSE_LADDER:
-            keys = [(float(a), float(b), n) for a, b in zip(edges[:-1], edges[1:])]
+            live = [i for i, v in enumerate(done) if v is None]
+            keys = [spans[i] + (n,) for i in live]
             sums = {k: self._pieces[k] for k in keys if k in self._pieces}
             todo = [k for k in keys if k not in sums]
             if todo:
@@ -729,10 +742,12 @@ class StationarySolution:
                 sums.update(zip(todo, vals.tolist()))
                 if len(self._pieces) < _PIECES_CAP:
                     self._pieces.update((k, sums[k]) for k in todo)
-            val = float(weights @ np.array([sums[k] for k in keys]))
-            if prev is not None and abs(val - prev) <= _COLLAPSE_TOL:
-                return val
-            prev = val
+            for i, k in zip(live, keys):
+                if prev[i] is not None and weights[i] * abs(sums[k] - prev[i]) <= share:
+                    done[i] = sums[k]
+                prev[i] = sums[k]
+            if None not in done:
+                return float(weights @ np.array(done))
         raise self._failure(f"E f({scale:.6g} U) did not converge")
 
     def moments(self, n_max: int) -> list:

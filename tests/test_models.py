@@ -257,6 +257,21 @@ def test_upper_gamma_matches_high_precision(a):
         assert models._upper_gamma(a, z) == pytest.approx(expected, rel=1e-13, abs=0.0), z
 
 
+def test_upper_gamma_keeps_its_digits_at_orders_above_the_argument():
+    # the derivatives of the root series ask for orders up to ~12; above
+    # z + 1 the continued fraction alone would lose up to 9e-9 relative.
+    # Values below 1e-290 are skipped: double precision underflows on them
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for a in np.arange(-12.0, 12.125, 0.25):
+        for z in (2.0001, 2.5, 3.0, 5.0, 10.0, 50.0, 699.0):
+            expected = mpmath.gammainc(float(a), z)
+            if expected < 1e-290:
+                continue
+            assert models._upper_gamma(float(a), z) == pytest.approx(
+                float(expected), rel=1e-13, abs=0.0), (a, z)
+
+
 def test_pareto_transform_at_an_alpha_whose_scale_product_underflows():
     # alpha * xm rounds to 0 for a subnormal alpha; every transform then
     # takes its alpha = 0 value instead of dividing by or taking log of 0

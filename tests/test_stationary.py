@@ -678,8 +678,41 @@ def test_collapse_average_off_the_root_matches_adaptive_reference(theta, fac):
             _collapse_average_reference(sol, scale), abs=1e-11)
 
 
-@pytest.mark.parametrize("theta", (0.3, 1.0))
-def test_collapse_average_reuses_shared_pieces(monkeypatch, theta):
+# seed-1 models of the benchmark sweep with theta < 1, where the innermost
+# piece converges algebraically and the others settle on the first rungs
+SWEEP_SMALL_THETA = (
+    (BrownianDrift(1.8061500544434819, 0.10609760523360225),
+     56.28537998094292, 0.9443769545099747),
+    (CppMinusDrift(0.37682235332435465, 0.12430036422259008,
+                   Erlang(2, 0.13152990492108974)),
+     0.030112884382985577, 0.9440106318282109),
+    (Sum((BrownianDrift(0.9710730048738185, 0.5732425669592638),
+          CppMinusDrift(0.16220992805578646, 0.5647614407331464,
+                        Exponential(0.19704138402008545)))),
+     0.09831460894226568, 0.5712374368740438),
+    (CppMinusDrift(1.0698959857473531, 0.14922741795562616,
+                   Pareto(1.235985879936666, 0.5292037229785617)),
+     4.859023727440741, 0.3261427273124774),
+    (CppMinusDrift(0.13651906378928574, 1.599962059677647,
+                   Exponential(0.7225818819917023)),
+     34.454779998939266, 0.03591016162888736),
+)
+
+
+@pytest.mark.parametrize("model, lam, theta", SWEEP_SMALL_THETA, ids=(
+    "bm.6.3", "erlang.7.1", "sum.3.11", "pareto.3.0", "exp.5.4"))
+def test_collapse_average_on_sweep_models_with_small_theta(model, lam, theta):
+    # every piece settles within its weighted share of the 1e-12 budget, so
+    # no piece's error hides behind rungs on which the sum happens to agree
+    sol = stationary.StationarySolution(model, lam, theta)
+    for fac in (0.5, 1.0, 1.5):
+        scale = fac * sol.alpha_lambda
+        assert sol.mean_lst_collapsed(scale) == pytest.approx(
+            _collapse_average_reference(sol, scale), abs=1e-13), fac
+
+
+def _record_transform_nodes(monkeypatch):
+    """List of the alpha arrays later `_lst_many` calls evaluate."""
     seen = []
     batched = stationary.StationarySolution._lst_many
 
@@ -688,6 +721,24 @@ def test_collapse_average_reuses_shared_pieces(monkeypatch, theta):
         return batched(self, alphas)
 
     monkeypatch.setattr(stationary.StationarySolution, "_lst_many", recording)
+    return seen
+
+
+@pytest.mark.parametrize("theta", (0.03, 0.9))
+def test_collapse_average_settles_each_piece_on_its_own_rung(monkeypatch, theta):
+    # a piece that settles on an early rung leaves the batch: only the
+    # pieces still short of their share of the budget climb further
+    seen = _record_transform_nodes(monkeypatch)
+    for model in (BM, MM1, PARETO15):
+        sol = stationary.StationarySolution(model, 1.0, theta)
+        seen.clear()
+        sol.mean_lst_collapsed(sol.alpha_lambda)
+        assert 0 < sum(a.size for a in seen) <= 300, model
+
+
+@pytest.mark.parametrize("theta", (0.03, 0.3, 0.9, 1.0))
+def test_collapse_average_reuses_shared_pieces(monkeypatch, theta):
+    seen = _record_transform_nodes(monkeypatch)
     for model in (BM, MM1, PARETO15):
         sol = stationary.StationarySolution(model, 1.0, theta)
         A = sol.alpha_lambda

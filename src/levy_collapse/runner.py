@@ -114,13 +114,9 @@ def _replicate(args) -> simulate.SamplePool:
     if cfg.engine == "loynes":
         return simulate.loynes_run(cfg.model, cfg.lam, cfg.collapse, n, rng,
                                    eps_trunc=cfg.eps_trunc, **kw)
-    if cfg.horizon is not None:
-        return simulate.path_simulate(cfg.model, cfg.lam, cfg.collapse,
-                                      horizon=cfg.horizon, step_h=cfg.step_h,
-                                      rng=rng, z0=cfg.z0, stream_id=r, **kw)
-    return simulate.path_simulate(cfg.model, cfg.lam, cfg.collapse,
-                                  n_collapses=n, step_h=cfg.step_h,
-                                  rng=rng, z0=cfg.z0, stream_id=r, **kw)
+    return simulate.path_simulate(cfg.model, cfg.lam, cfg.collapse, horizon=cfg.horizon,
+                                  n_collapses=None if cfg.horizon is not None else n,
+                                  step_h=cfg.step_h, rng=rng, z0=cfg.z0, **kw)
 
 
 def _run_pools(cfg: RunConfig) -> List[simulate.SamplePool]:

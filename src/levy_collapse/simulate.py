@@ -80,7 +80,6 @@ class PathState:
     next_collapse: float
     next_jump: float
     n_collapses: int
-    stream_id: Optional[int] = None
 
 
 @dataclass(eq=False)
@@ -523,21 +522,20 @@ class _Stream:
 class _EventBatches:
     """Event epochs of the path engines, read in batches.
 
-    Each event is a map z -> max(a z + b, c) of the level just after the
-    previous event: drain for dt at rate `drift`, clamped at zero, then
-    either a jump B, (1, drift dt + B, B), or a collapse U,
-    (U, U drift dt, 0); the Euler engine passes drift = 0 and steps the
-    segments between events itself. The draws come from the same streams,
-    in the same calls, sizes and order as taking one event at a time: a
-    batch holds every event whose draws already sit in the prefetched
-    blocks (at most _BLOCK events), and only its front event refills
-    blocks, in the order pick, size, jump clock or multiplier, collapse
-    clock. The multiplier block runs out at every _BLOCK-th collapse, so a
-    caller flushing its reservoir after a batch draws the keys where
-    stepping one event at a time would (see `batches`).
+    Each event is a bare map z -> max(a z + b, b) of the level just before
+    it: a jump B is (1, B, B) and a collapse U is (U, 0, 0). What moves the
+    level between events is the caller's (see `_Exact` and `_Euler`). The
+    draws come from the same streams, in the same calls, sizes and order as
+    taking one event at a time: a batch holds every event whose draws
+    already sit in the prefetched blocks (at most _BLOCK events), and only
+    its front event refills blocks, in the order pick, size, jump clock or
+    multiplier, collapse clock. A batch also ends right after each
+    _BLOCK-th collapse, where the multiplier block runs out, so a caller
+    flushing its reservoir after a batch draws the keys where stepping one
+    event at a time would.
     """
 
-    def __init__(self, model, lam, collapse, rng, drift):
+    def __init__(self, model, lam, collapse, rng):
         parts = model.jump_parts()
         g_tot = sum(g for g, _ in parts)
         self._ecol = _Stream(rng, lambda r, n: r.exponential(1.0 / lam, n)) if lam > 0 else None
@@ -546,7 +544,6 @@ class _EventBatches:
         self._sizes = [_Stream(rng, lambda r, n, j=jumps: j.sample(r, n)) for _, jumps in parts]
         self._cuts = np.cumsum([g for g, _ in parts]) / g_tot if len(parts) > 1 else None
         self._umult = _Stream(rng, lambda r, n: collapse.sample(r, n))
-        self._drift = drift
         self.t = 0.0
         self.n_collapses = 0
         for s in (self._ecol, self._ejmp):  # the first epoch of each clock
@@ -574,21 +571,19 @@ class _EventBatches:
             self._ecol.fill()
 
     def batches(self, horizon: Optional[float], n_collapses: Optional[int],
-                front: Optional[Callable[[float], None]] = None):
-        """Yield (dt, col, a, b, c) for each batch of events before horizon
-        and up to the n_collapses-th collapse; col marks the collapses.
-
-        front, if given, is called with the front event's dt before its
-        blocks are refilled, for a caller that draws between events; such
-        a caller's batches also end right after each _BLOCK-th collapse.
+                front: Callable[[float], None]):
+        """Yield (dt, col, a, b) for each batch of events before horizon and
+        up to the n_collapses-th collapse: dt[k] is the time since the
+        previous event, col marks the collapses and (a[k], b[k], b[k]) is
+        event k's map. front is called with the front event's dt before its
+        blocks are refilled, for a caller that draws between events.
         """
         stop = math.inf if horizon is None else horizon
         last = math.inf if n_collapses is None else n_collapses
         ecol, ejmp, pick, sizes, umult = (self._ecol, self._ejmp, self._pick,
                                           self._sizes, self._umult)
         while self.n_collapses < last and min(self.next_col, self.next_jmp) < stop:
-            if front is not None:
-                front(min(self.next_col, self.next_jmp) - self.t)
+            front(min(self.next_col, self.next_jmp) - self.t)
             self._fill_front()
             # jump k needs pick k, its part's next size and jump clock k; the
             # first jump short of one is the first that cannot run
@@ -608,7 +603,7 @@ class _EventBatches:
                 jt = np.cumsum(np.concatenate(([self.next_jmp],
                                                ejmp.buf[ejmp.i:ejmp.i + nj])))
             # collapse k needs multiplier k and collapse clock k; a batch stops
-            # right after the run's last collapse, with front also a block's last
+            # right after the run's last collapse and after a block's last
             nc, c_stop = 0, self.next_col
             ct = np.array([self.next_col])
             if ecol is not None:
@@ -616,7 +611,7 @@ class _EventBatches:
                 nc = min(ecol.left(), umult.left(), cut)
                 ct = np.cumsum(np.concatenate(([self.next_col],
                                                ecol.buf[ecol.i:ecol.i + nc])))
-                done = nc == cut or (front is not None and 0 < nc == umult.left())
+                done = nc == cut or 0 < nc == umult.left()
                 c_stop = ct[nc - 1] if done else ct[nc]
             # merge, jumps first at ties
             j_stop = jt[nj]
@@ -643,36 +638,58 @@ class _EventBatches:
             for stream, k in ((pick, nj), (ejmp, nj), (ecol, nc)):
                 if stream is not None:
                     stream.i += k
-            dt = np.diff(t, prepend=self.t)
-            dd = self._drift * dt
-            jmp = ~col
             a = np.ones(col.size)
             a[col] = u
-            b = np.empty(col.size)
-            b[jmp] = dd[jmp] + size
-            b[col] = u * dd[col]
-            c = np.zeros(col.size)
-            c[jmp] = size
+            b = np.zeros(col.size)
+            b[~col] = size
+            dt = np.diff(t, prepend=self.t)
             self.t = float(t[-1])
             self.next_jmp = float(jt[nj])
             self.next_col = float(ct[nc])
             self.n_collapses += nc
-            yield dt, col, a, b, c
+            yield dt, col, a, b
 
 
-def _drain(z: np.ndarray, dt: np.ndarray, drift: float, pool: SamplePool):
-    """Move levels z along the drift for dt each, clamped at zero.
+class _Exact:
+    """Lanes of a model without a Brownian part, moved exactly between events.
 
-    Returns the levels reached and the total pushed in at zero, and adds
-    the elapsed time and occupied area to pool.
+    A segment of length dt drains at the drift rate d, clamped at zero: the
+    map (1, d dt, 0). Composed into the event map (a, b, b) after it, it is
+    (a, a d dt + b, b), so a batch of segments and events is one `_fold`
+    per lane, with nothing to draw between events. With a pool (one lane),
+    the lane's time totals and pushes at zero are kept too.
     """
-    q = z + drift * dt
-    below = q < 0.0
-    area = dt * (z + 0.5 * drift * dt)
-    area[below] = 0.5 * z[below] * (z[below] / -drift)  # hits zero at z / -drift
-    pool.time_total += float(dt.sum())
-    pool.time_integral += float(area.sum())
-    return np.maximum(q, 0.0), float(-q[below].sum())
+
+    def __init__(self, model, z, pool=None):
+        self.drift, self.pool, self.reg = model.drift_rate(), pool, 0.0
+        self.z = [float(v) for v in z]
+
+    def front(self, dt: float) -> None:
+        """Nothing runs ahead of a batch: its segments are exact."""
+
+    def run(self, dt, a, b):
+        """Segment k of length dt[k], then the event map (a[k], b[k], b[k]),
+        for each k. Returns per lane the levels just before and just after
+        each event."""
+        dd = self.drift * dt
+        composed = a * dd + b
+        pre, post = [], []
+        for i, z in enumerate(self.z):
+            lv = _fold(a, composed, b, z)
+            start = np.concatenate(([z], lv[:-1]))
+            q = start + dd
+            pre.append(np.maximum(q, 0.0))
+            post.append(lv)
+            self.z[i] = float(lv[-1])
+        if self.pool is not None:  # one lane, whose segment k starts at start[k]
+            below = q < 0.0
+            area = dt * (start + 0.5 * self.drift * dt)
+            # a segment that reaches zero does so at start / -drift
+            area[below] = 0.5 * start[below] * (start[below] / -self.drift)
+            self.pool.time_total += float(dt.sum())
+            self.pool.time_integral += float(area.sum())
+            self.reg += float(-q[below].sum())
+        return pre, post
 
 
 class _Euler:
@@ -687,35 +704,38 @@ class _Euler:
     a segment cut between rows or chunks carries only its level. Segments
     and the event maps between them are folded per lane in chunks of at
     most _STEP_CAP cells, which bounds the memory whatever a segment's
-    length; each chunk's normals are one draw, in step order. With a pool
-    (one lane), the lane's time totals and pushes at zero are kept too.
+    length; each chunk's normals are one draw, in step order. `front` runs
+    the segment before a batch's front event, ahead of its refills. With a
+    pool (one lane), the lane's time totals and pushes at zero are kept too.
     """
 
     def __init__(self, model, step_h, rng, z, pool=None):
         self.h, self.rng, self.pool, self.reg = float(step_h), rng, pool, 0.0
         self.drift, self.sig = model.drift_rate(), math.sqrt(model.sigma2_total())
         self.z = [float(v) for v in z]
+        self._ran_front = False
         # work space of one chunk, reused: fresh arrays this size cost page faults
         self._cap = max(1, _STEP_CAP // _ROW)
         self._x, self._s = np.empty(self._cap * _ROW), np.empty((self._cap, _ROW))
         self._cells = np.ones((self._cap, _ROW), dtype=bool)  # all True between chunks
 
-    def segment(self, dt: float) -> None:
-        """One segment of length dt, with no event after it."""
-        self.run(np.array([dt]), np.ones(1), np.zeros(1), np.zeros(1))
+    def front(self, dt: float) -> None:
+        """Run the segment of length dt now; the next `run` leaves it out."""
+        self.run(np.array([dt]), np.ones(1), np.zeros(1))
+        self._ran_front = True
 
-    def run(self, dt, a, b, c, skip_front: bool = False):
-        """Segment k of length dt[k], then the event map (a[k], b[k], c[k]),
-        for each k; segment 0 is left out when skip_front (the caller ran it
-        before the batch's blocks were refilled). Returns per lane the levels
-        just before and just after each event."""
+    def run(self, dt, a, b):
+        """Segment k of length dt[k], then the event map (a[k], b[k], b[k]),
+        for each k; segment 0 is left out when `front` ran it. Returns per
+        lane the levels just before and just after each event."""
         h = self.h
         n = np.maximum(1.0, np.ceil(dt / h - 1e-9)).astype(np.int64)
         h_last = dt - h * (n - 1)
-        if skip_front:
+        skip, self._ran_front = self._ran_front, False
+        if skip:
             n[0] = 0
         if self.pool is not None:
-            self.pool.time_total += float(dt[int(skip_front):].sum())
+            self.pool.time_total += float(dt[int(skip):].sum())
         rows = -(-n // _ROW)
         ends = np.cumsum(rows)  # rows up to the end of each segment
         pre, post = ([np.empty(dt.size) for _ in self.z] for _ in range(2))
@@ -747,7 +767,7 @@ class _Euler:
             row = g - pos + np.searchsorted(ev, g - pos, side="right")
             ev += np.arange(k1 - k0)
             A, B, C = np.ones((3, g.size + k1 - k0))
-            A[ev], B[ev], C[ev] = a[k0:k1], b[k0:k1], c[k0:k1]
+            A[ev], B[ev], C[ev] = a[k0:k1], b[k0:k1], b[k0:k1]
             B[row], C[row] = s[:, -1], s[:, -1] - m
             for i, z in enumerate(self.z):
                 lv = np.concatenate(([z], _fold(A, B, C, z)))
@@ -771,6 +791,17 @@ class _Euler:
         return pre, post
 
 
+def _lanes(model, step_h, rng, z, pool=None):
+    """The level mover for lanes started at z: exact for a model without a
+    Brownian part, Euler-discretized with step step_h for one with it."""
+    brownian = model.sigma2_total() > 0.0
+    if brownian and step_h is None:
+        raise ConfigError("step_h is required when the model has a Brownian part")
+    if step_h is not None and step_h <= 0:
+        raise ConfigError("step_h must be > 0")
+    return _Euler(model, step_h, rng, z, pool) if brownian else _Exact(model, z, pool)
+
+
 def path_simulate(model: LevyModel, lam: float, collapse: CollapseLaw, *,
                   horizon: Optional[float] = None,
                   n_collapses: Optional[int] = None,
@@ -778,18 +809,17 @@ def path_simulate(model: LevyModel, lam: float, collapse: CollapseLaw, *,
                   rng: np.random.Generator,
                   z0: float = 0.0, alphas=(), thresholds=(),
                   reservoir_cap: int = _RESERVOIR_CAP,
-                  stream_id: Optional[int] = None,
                   return_final: bool = False):
     """Simulate the collapsed process in continuous time.
 
     Event epochs (jumps of the compound part, collapses) come from
-    competing exponential clocks. Between events a model without a
-    Brownian part moves along its drift exactly, clamped at zero; with a
-    Brownian part the segment is Euler-discretized with step step_h and
-    reflected through the discrete running-infimum map. Each event, and
-    each row of Euler steps, is a map z -> max(a z + b, c), folded in
-    batches that draw the same numbers as stepping one event at a time.
-    The pool collects the level immediately before each collapse plus
+    competing exponential clocks, and each event is a bare map
+    z -> max(a z + b, b). Between events one lane moves the level: along
+    the drift exactly, clamped at zero, for a model without a Brownian
+    part, or Euler-discretized with step step_h and reflected through the
+    discrete running-infimum map with one. Events are read in batches that
+    draw the same numbers as stepping one event at a time. The pool
+    collects the level immediately before each collapse plus
     occupation-time totals; pass return_final=True to also get the
     terminal PathState.
     """
@@ -801,49 +831,27 @@ def path_simulate(model: LevyModel, lam: float, collapse: CollapseLaw, *,
         raise ConfigError("n_collapses mode needs n_collapses > 0 and lam > 0")
     if lam < 0 or z0 < 0:
         raise ConfigError("need lam >= 0 and z0 >= 0")
-    sig2 = model.sigma2_total()
-    if sig2 > 0 and step_h is None:
-        raise ConfigError("step_h is required when the model has a Brownian part")
-    if step_h is not None and step_h <= 0:
-        raise ConfigError("step_h must be > 0")
     if n_collapses is not None:
         n_collapses = int(n_collapses)
 
     pool = SamplePool(alphas, thresholds, reservoir_cap)
+    lanes = _lanes(model, step_h, rng, [z0], pool)
+    events = _EventBatches(model, lam, collapse, rng)
     held: list = []  # pre-collapse levels not yet pooled
-    drift = model.drift_rate()
-    euler = _Euler(model, step_h, rng, [z0], pool) if sig2 > 0.0 else None
-    events = _EventBatches(model, lam, collapse, rng, drift if euler is None else 0.0)
-    z, reg = float(z0), 0.0
-    for dt, col, a, b, c in events.batches(horizon, n_collapses, euler and euler.segment):
-        if euler is not None:
-            (pre,), _ = euler.run(dt, a, b, c, skip_front=True)
-        else:
-            levels = _fold(a, b, c, z)
-            pre, pushed = _drain(np.concatenate(([z], levels[:-1])), dt, drift, pool)
-            reg += pushed
-            z = float(levels[-1])
+    for dt, col, a, b in events.batches(horizon, n_collapses, lanes.front):
+        (pre,), _ = lanes.run(dt, a, b)
         held.append(pre[col])
         if events.n_collapses % _BLOCK == 0:  # a batch ends at each such collapse
             pool.add(np.concatenate(held), rng)
             held.clear()
-    t = events.t
-    if horizon is not None:
-        if horizon > t and euler is not None:
-            euler.segment(horizon - t)
-        elif horizon > t:
-            end, pushed = _drain(np.array([z]), np.array([horizon - t]), drift, pool)
-            z = float(end[0])
-            reg += pushed
-        t = horizon
-    if euler is not None:
-        (z,), reg = euler.z, euler.reg
+    t = events.t if horizon is None else horizon
+    if t > events.t:  # the last segment, closed by the identity map
+        lanes.run(np.array([t - events.t]), np.ones(1), np.zeros(1))
     if held:
         pool.add(np.concatenate(held), rng)
     if return_final:
-        state = PathState(t, z, reg, events.next_col, events.next_jmp,
-                          events.n_collapses, stream_id)
-        return pool, state
+        return pool, PathState(t, lanes.z[0], lanes.reg, events.next_col,
+                               events.next_jmp, events.n_collapses)
     return pool
 
 
@@ -855,30 +863,22 @@ def coupling_check(model: LevyModel, lam: float, collapse: CollapseLaw,
 
     Returns (violation, min_gap): the largest positive excess of the gap
     over (y0 - x0) times the multiplier product, taken at collapse
-    epochs, and the smallest gap seen at any event epoch. Both paths are
-    folds of the same increasing maps, which never widen the gap (with a
-    Brownian part, the rows of Euler steps are such maps too), so the
-    violation stays at rounding level and the gap cannot turn negative.
+    epochs, and the smallest gap seen at any event epoch. The two paths
+    are two lanes of one level mover, exact or Euler as in
+    `path_simulate`: every segment and event moves them by the same
+    increasing map, which never widens the gap, so the violation stays at
+    rounding level and the gap cannot turn negative.
     """
     if not 0.0 <= x0 <= y0:
         raise DomainError("need 0 <= x0 <= y0")
     n_collapses = int(n_collapses)
     if n_collapses <= 0 or lam <= 0:
         raise DomainError("need n_collapses > 0 and lam > 0")
-    sig2 = model.sigma2_total()
-    if sig2 > 0 and step_h is None:
-        raise ConfigError("step_h is required when the model has a Brownian part")
     gap0, pi, violation, min_gap = y0 - x0, 1.0, 0.0, y0 - x0
-    euler = _Euler(model, step_h, rng, [x0, y0]) if sig2 > 0.0 else None
-    events = _EventBatches(model, lam, collapse, rng,
-                           model.drift_rate() if euler is None else 0.0)
-    zx, zy = float(x0), float(y0)
-    for dt, col, a, b, c in events.batches(None, n_collapses, euler and euler.segment):
-        if euler is not None:
-            _, (lx, ly) = euler.run(dt, a, b, c, skip_front=True)
-        else:
-            lx, ly = _fold(a, b, c, zx), _fold(a, b, c, zy)
-            zx, zy = float(lx[-1]), float(ly[-1])
+    lanes = _lanes(model, step_h, rng, [x0, y0])
+    events = _EventBatches(model, lam, collapse, rng)
+    for dt, col, a, b in events.batches(None, n_collapses, lanes.front):
+        _, (lx, ly) = lanes.run(dt, a, b)
         gap = ly - lx
         pis = np.cumprod(np.concatenate(([pi], a[col])))
         if pis.size > 1:

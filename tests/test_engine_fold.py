@@ -243,7 +243,7 @@ def ref_path(model, lam, collapse, *, rng, horizon=None, n_collapses=None,
                 break
     if buf:
         pool.add(np.asarray(buf), rng)
-    return pool, PathState(t, z, reg, next_col, next_jmp, ncol, None)
+    return pool, PathState(t, z, reg, next_col, next_jmp, ncol)
 
 
 def ref_coupling(model, lam, collapse, x0, y0, n_collapses, rng):
@@ -358,7 +358,7 @@ def ref_euler_path(model, lam, collapse, *, rng, step_h, horizon=None,
         n_collapses=n_collapses, pool=pool)
     if buf:
         pool.add(np.asarray(buf), rng)
-    return pool, PathState(t, z, reg, next_col, next_jmp, ncol, None)
+    return pool, PathState(t, z, reg, next_col, next_jmp, ncol)
 
 
 def ref_euler_coupling(model, lam, collapse, x0, y0, n_collapses, rng, step_h):
@@ -477,13 +477,12 @@ def test_path_fold_draws_what_the_loop_draws(model, collapse, n):
 def test_path_fold_horizon_mode(model, lam, horizon, z0):
     r_new, r_ref = recorders(53, 3)
     new, s_new = path_simulate(model, lam, UNI, horizon=horizon, z0=z0, rng=r_new,
-                               return_final=True, stream_id=4, **POOL_KW)
+                               return_final=True, **POOL_KW)
     ref, s_ref = ref_path(model, lam, UNI, horizon=horizon, z0=z0, rng=r_ref,
                           **POOL_KW)
     assert_same_draws(r_new, r_ref)
     assert_same_pool(new, ref)
     assert_same_state(s_new, s_ref)
-    assert s_new.stream_id == 4
 
 
 @pytest.mark.parametrize("model,collapse,x0,y0,n", [
@@ -526,13 +525,12 @@ def test_euler_fold_draws_what_the_loop_draws(model, collapse, n, h):
 def test_euler_fold_horizon_mode(model, lam, horizon, z0, h):
     r_new, r_ref = recorders(58, 8)
     new, s_new = path_simulate(model, lam, UNI, horizon=horizon, z0=z0, step_h=h,
-                               rng=r_new, return_final=True, stream_id=4, **POOL_KW)
+                               rng=r_new, return_final=True, **POOL_KW)
     ref, s_ref = ref_euler_path(model, lam, UNI, horizon=horizon, z0=z0, step_h=h,
                                 rng=r_ref, **POOL_KW)
     assert_same_values(r_new, r_ref)
     assert_same_pool(new, ref)
     assert_same_state(s_new, s_ref)
-    assert s_new.stream_id == 4
 
 
 @pytest.mark.parametrize("model,collapse,x0,y0,n,h", [

@@ -380,6 +380,11 @@ def test_coupling_contracts_paths():
         assert g >= -1e-9
     with pytest.raises(DomainError):
         coupling_check(MM1, 1.0, UNI, 1.0, 0.5, 10, replication_rng(1, 1))
+    for model in (BM, MM1):
+        for h in (-0.5, 0.0):
+            with pytest.raises(ConfigError, match="step_h must be > 0"):
+                coupling_check(model, 1.0, UNI, 1.0, 2.0, 10, replication_rng(1, 1),
+                               step_h=h)
 
 
 # ---------------------------------------------------------------------------

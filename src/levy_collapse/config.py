@@ -7,6 +7,7 @@ already constructed, rejecting unknown keys so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -90,6 +91,12 @@ def _split_lines(text: str) -> Dict[str, Tuple[str, int]]:
     return out
 
 
+def _finite(x: float, key: str, lineno: int) -> float:
+    if not math.isfinite(x):  # nan passes every range check below
+        raise ParseError(f"line {lineno}: {key} needs a finite number")
+    return x
+
+
 class _Fields:
     """Typed, consume-as-you-go view of the parsed lines."""
 
@@ -113,7 +120,7 @@ class _Fields:
             return default
         val, lineno = got
         try:
-            return float(val)
+            return _finite(float(val), key, lineno)
         except ValueError:
             raise ParseError(f"line {lineno}: {key} needs a number, got {val!r}") from None
 
@@ -133,7 +140,7 @@ class _Fields:
             return ()
         val, lineno = got
         try:
-            return tuple(float(tok) for tok in val.replace(",", " ").split())
+            return tuple(_finite(float(tok), key, lineno) for tok in val.replace(",", " ").split())
         except ValueError:
             raise ParseError(f"line {lineno}: {key} needs numbers, got {val!r}") from None
 
@@ -151,7 +158,7 @@ class _Fields:
                 self._seen.add(key)
                 val, lineno = self._raw[key]
                 try:
-                    tols.append((key[4:], float(val)))
+                    tols.append((key[4:], _finite(float(val), key, lineno)))
                 except ValueError:
                     raise ParseError(f"line {lineno}: {key} needs a number") from None
         unknown = sorted(set(self._raw) - self._seen)

@@ -10,6 +10,7 @@ simulation cross-check suites and reports one row per check.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import replace
@@ -160,9 +161,7 @@ def run_simulate(cfg: RunConfig) -> List[str]:
     """One engine run (possibly fanned over replications) with CSV dumps."""
     cfg.seed()  # fail before any work if the seed is missing
     pools = _run_pools(cfg)
-    merged = pools[0]
-    for p in pools[1:]:
-        merged = merged.merge(p)
+    merged = functools.reduce(simulate.SamplePool.merge, pools)
     out = cfg.out_dir
     return [
         write_csv(os.path.join(out, "samples.csv"), ("replicate", "n", "zeta"),
@@ -182,10 +181,7 @@ def run_tail(cfg: RunConfig) -> List[str]:
         raise ValidationError("thresholds must be non-empty for tail")
     delta, xm = model.jumps.delta, model.jumps.xm
     pools = _run_pools(replace(cfg, engine="path", collapse=Uniform01()))
-    merged = pools[0]
-    for p in pools[1:]:
-        merged = merged.merge(p)
-    rows = simulate.tail_table(merged, delta, xm)
+    rows = simulate.tail_table(functools.reduce(simulate.SamplePool.merge, pools), delta, xm)
     target = stationary.tail_constant(model.gamma, cfg.lam, delta)
     return [write_csv(os.path.join(cfg.out_dir, "tail.csv"),
                       ("threshold", "exceedances", "samples", "ratio", "lo", "hi",

@@ -26,10 +26,12 @@ chopped to the error its piece was accepted at; inside a narrow band
 around the root, where the direct formula turns into 0/0 and loses two
 digits per decade, r is replaced by its Taylor expansion (coefficients from
 a convolution recurrence on the derivatives of phi) and integrated in
-closed form. The closed-form factors become endpoint weights
-(root - x)^(theta*K), so each transform value reduces to a fixed
-Gauss-Jacobi sum. That keeps every evaluation smooth in alpha, which the
-finite-difference moment diagnostics rely on.
+closed form. The closed-form factors become the endpoint weight s^(theta K)
+of one integral over s = (root - x)/(root - alpha) in [0, 1]: below the
+root a Gauss-Jacobi piece on [0, 1/2], then Gauss-Legendre pieces halving
+toward s = 1 as deep as alpha's distance to x = 0, the kink of heavy-tailed
+transforms, asks; above it one Gauss-Jacobi piece. The rules are fixed at
+construction, so evaluations are smooth in alpha, as moment checks need.
 """
 
 import math
@@ -76,14 +78,10 @@ def _naming(model: LevyModel, lam: float, theta: Optional[float] = None) -> str:
 
 
 def find_alpha_lambda(model: LevyModel, lam: float) -> float:
-    """Positive root of phi(alpha) = lam.
-
-    phi is convex with phi(0) = 0, so the root is unique whenever phi grows
-    past lam. The bracket expands by doubling, then a Newton iteration with
-    bisection safeguard refines it down to the evaluation noise of phi
-    itself: everything downstream divides by distances to this root, so
-    stopping early would be the dominant error of the whole solution.
-    """
+    """Positive root of phi(alpha) = lam, unique since phi is convex with
+    phi(0) = 0. The bracket expands by doubling, then a Newton iteration
+    with bisection safeguard refines it down to the evaluation noise of phi:
+    everything downstream divides by distances to this root."""
     if not (lam > 0 and math.isfinite(lam)):
         raise ModelError("collapse rate lambda must be positive and finite"
                          + _naming(model, lam))
@@ -127,8 +125,8 @@ def w_tau_lst(model: LevyModel, lam: float, alpha: float) -> float:
     """Transform of the reflected level at an independent exp(lam) time,
     started from zero: (1 - alpha/root) / (1 - phi(alpha)/lam), with the
     l'Hopital value lam / (root * phi'(root)) at the root itself."""
-    if alpha < 0:
-        raise DomainError("alpha must be >= 0")
+    if not 0 <= alpha < math.inf:
+        raise DomainError("alpha must be finite and >= 0")
     root = _alpha_root(model, lam)
     if abs(alpha - root) <= _AT_ROOT_RTOL * root:
         return lam / (root * model.phi_deriv(root))
@@ -144,8 +142,8 @@ def wx_joint_lst(model: LevyModel, lam: float, x: float, alpha: float,
     / (1 - phi(alpha)/lam); both factors vanish at alpha = root, where the
     limit (x + 1/(root+beta)) * lam * exp(-root x) / phi'(root) applies.
     """
-    if alpha < 0 or beta < 0 or x < 0:
-        raise DomainError("x, alpha and beta must be >= 0")
+    if not all(0 <= v < math.inf for v in (x, alpha, beta)):
+        raise DomainError("x, alpha and beta must be finite and >= 0")
     root = _alpha_root(model, lam)
     if abs(alpha - root) <= _AT_ROOT_RTOL * root:
         return (x + 1.0 / (root + beta)) * lam * math.exp(-root * x) / model.phi_deriv(root)
@@ -197,12 +195,9 @@ def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _clenshaw(coef: np.ndarray, u: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Chebyshev series coef at the points u (mapped to [-1, 1]), in place.
-
-    Runs numpy's `chebval` recurrence in its operation order, so the values
-    are bit-identical to it, but writes only into the rows of `work` (at
-    least 4 x len(u)); the result is u's buffer, overwritten.
-    """
+    """Chebyshev series coef at the points u (mapped to [-1, 1]), in place:
+    numpy's `chebval` recurrence in its operation order, bit-identical to
+    it, writing only into the rows of `work` (at least 4 x len(u)) and u."""
     n = len(coef)
     if n < 3:
         np.multiply(u, coef[1] if n == 2 else 0.0, out=work[0])
@@ -280,25 +275,26 @@ _SLIVER = 2.0 ** -16
 # bounds the temporaries whatever the number of alphas
 _CHUNK = 1 << 15
 
-# E f(scale U): Gauss nodes per piece tried in turn, the total error budget
-# of the average, shared among its pieces by weight (two consecutive rungs
-# of a piece must agree to its share), and the two bounds on the grading
-# depth (see `_collapse_ladder`). The halvings stop above the sliver edge,
-# below which every alpha costs a heavy-tailed model a 64-point remainder
-# integral of its own. The span stops them once the weight t^theta has
-# fallen by 2^30 from min(scale, root): a deeper cut would grade a region
-# the weight all but ignores, where the innermost Gauss-Jacobi piece, exact
-# for the weight, needs none. So theta <= 3 keeps all ten halvings and
-# theta > 30 has no cut, a decade below theta = 300, where Legendre pieces,
-# whose weight falls by 2^(theta-1) over an octave, start to lose digits
-# (2e-13 at 1.5 root with ten halvings, against 2e-14 from one piece; M/M/1
-# fails at theta = 2000)
+# E f(scale U): Gauss nodes per piece tried in turn (every composite rule's
+# rungs, `_settle`), the error budget of the average, shared among its
+# pieces by weight, and the two bounds on the grading depth. The halvings
+# stop above the sliver edge, below which every alpha costs a heavy-tailed
+# model a 64-point remainder integral. The span stops them once the weight
+# t^theta has fallen by 2^30 from min(scale, root), where the innermost
+# Gauss-Jacobi piece, exact for the weight, needs no grading: so theta > 30
+# has no cut, a decade below theta = 300, where Legendre pieces start to lose
+# digits (2e-13 at 1.5 root against 2e-14 from one piece)
 _COLLAPSE_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128)
 _COLLAPSE_TOL = 1e-12
 _COLLAPSE_HALVINGS = 10
 _COLLAPSE_SPAN = 30.0
 # bound on the memo of collapse-average pieces of one solution
 _PIECES_CAP = 1 << 14
+# the transform integrals' graded rules (`_settle_tail_rule`): the deepest
+# grading, four halvings short of the sliver, where each node would cost a
+# 64-point remainder integral, and the error budget of a transform
+_TAIL_DEPTH = 12
+_TAIL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +305,12 @@ _PIECES_CAP = 1 << 14
 class StationarySolution:
     """Everything the stationary law exposes for one (model, lam, theta).
 
-    Construction performs all expensive work (root, Chebyshev antiderivatives
-    of the regular exponent remainders, Gauss rules, normalizer b, atom).
-    Afterwards an instance only writes to one memo, `_pieces` (the scale-
-    free piece sums of collapse averages, see `_collapse_ladder`). It is a
-    bounded, write-once map of deterministic values, so a thread that races
-    another at worst recomputes an entry and sharing instances across
-    threads is safe; `stationary_solution` caches them per parameter
-    triple.
+    Construction does all expensive work (root, Chebyshev antiderivatives of
+    the exponent remainders, Gauss rules, normalizer b, atom). Afterwards an
+    instance only writes to `_pieces`, a bounded write-once memo of collapse
+    averages (`_collapse_ladder`), so a thread that races another at worst
+    recomputes an entry and instances can be shared across threads;
+    `stationary_solution` caches them per parameter triple.
     """
 
     def __init__(self, model: LevyModel, lam: float, theta: float = 1.0):
@@ -338,13 +332,11 @@ class StationarySolution:
         self.K = lam / (A * p)
         self._tK = self.theta * self.K
 
-        # expansion of the remainders around the root: writing
-        # lam - phi(A-u) = p*u*(1 - x(u)), the Taylor coefficients of
-        # 1/(1-x) follow from a convolution recurrence, and
-        #     r(A-u) = K * sum_k e_k u^(k-1) - 1/(A-u)
-        # with the mirrored expansion above the root carrying alternating
-        # signs. Two spare orders feed the truncation estimate; transforms
-        # that refuse the highest derivatives just run the expansion shorter.
+        # expansion of the remainders around the root: with lam - phi(A-u) =
+        # p*u*(1 - x(u)), 1/(1-x) follows from a convolution recurrence and
+        # r(A-u) = K * sum_k e_k u^(k-1) - 1/(A-u), alternating in sign above
+        # the root. Two spare orders feed the truncation estimate; transforms
+        # that refuse the highest derivatives run the expansion shorter.
         ders = []
         for j in range(2, _SERIES_MAX + 4):
             try:
@@ -402,11 +394,12 @@ class StationarySolution:
         self._build_pieces(self._rho_above, self._vw, 1.0, "outer remainder",
                            (64, 128, 256, 512), rtol_direct, self._outer)
         self._Q_bandhi = float(self._Q(np.array([A + self._w]))[0])
-        self._tail_s, self._tail_w = self._pick_tail_rule()
         self._pieces = {}
+        # where phi >= 0 the log of the transform integrand has a slope of at
+        # most 2 theta in s in [1/2, 1]: end pieces of width <= 4/theta
+        self._depth0 = min(_TAIL_DEPTH, max(3, math.ceil(math.log2(self.theta)) - 2))
 
-        gA = A * float(self._below_integral(np.array([0.0]), self._tail_s,
-                                            self._tail_w)[0])
+        self._rule, gA = self._settle_tail_rule()
         if not (gA > 0 and math.isfinite(gA)):
             raise self._failure("normalizing integral did not evaluate")
         self._gA = gA
@@ -427,12 +420,9 @@ class StationarySolution:
         return poa / (lam - y * poa) - K / (A - y)
 
     def _R_inner(self, xs: np.ndarray) -> np.ndarray:
-        """int_0^x of the remainder for each x in the sliver next to zero.
-
-        The integrand is bounded with a weak y^(delta-1) kink; a fixed
-        64-point Gauss rule leaves an error far below the piece tolerance at
-        these widths (x <= 2^-16 * root).
-        """
+        """int_0^x of the remainder for each x in the sliver next to zero:
+        the integrand is bounded with a weak y^(delta-1) kink, and a 64-point
+        Gauss rule leaves an error far below the piece tolerance there."""
         T, W = _legendre_rule(64)
         return np.array([x * float(W @ np.array([self._left_integrand(x * t) for t in T]))
                          for x in xs.tolist()])
@@ -445,14 +435,11 @@ class StationarySolution:
         return self.K * acc - 1.0 / (self.alpha_lambda - u)
 
     def _check_root_series(self) -> None:
-        """Cross-check expansion vs direct remainder where both are accurate.
-
-        Just outside the band the direct formula carries at most the
-        root-shift noise K*dA/u^2 and the expansion at most its truncation
-        tail, so a mismatch beyond both budgets means one of them is wrong
-        (bad derivative, underestimated transform noise) and the whole
-        solution would be silently off; better to refuse loudly.
-        """
+        """Cross-check expansion vs direct remainder where both are accurate:
+        just outside the band the direct formula carries at most the
+        root-shift noise K*dA/u^2 and the expansion its truncation tail, so a
+        mismatch beyond both means one is wrong (bad derivative, underestimated
+        transform noise), and the whole solution would be silently off."""
         A, K = self.alpha_lambda, self.K
         e, M = self._e, self._M
         scale = K * (abs(e[1]) + 1.0 / A)
@@ -468,12 +455,9 @@ class StationarySolution:
                     f"({diff:.3e} > {gate:.3e})")
 
     def _rho_above(self, v: float) -> float:
-        """Regular outer remainder mapped via y = A/(1-v), for v in [vw, 1].
-
-        rho(y) = lam/(y(phi-lam)) - K*A/(y(y-A)) decays like 1/y^2, so the
-        transformed integrand stays bounded up to v = 1 and Chebyshev
-        antiderivatives serve every alpha beyond the band.
-        """
+        """Regular outer remainder mapped via y = A/(1-v), for v in [vw, 1]:
+        rho(y) = lam/(y(phi-lam)) - K*A/(y(y-A)) decays like 1/y^2, so this
+        stays bounded up to v = 1 and serves every alpha beyond the band."""
         m, lam, A, K = self.model, self.lam, self.alpha_lambda, self.K
         if v >= 1.0:
             d_eff = m.phi_over_alpha_limit()
@@ -488,19 +472,15 @@ class StationarySolution:
                       pieces: tuple, depth: int = 0) -> None:
         """Append Chebyshev antiderivatives of fun on [a, b] to the (edges,
         antiderivatives, offsets) lists `pieces`, splitting where the ladder
-        fails (Chebfun's "splitting on").
-
-        Each degree is checked at 29 probes clustered like the Chebyshev
-        points. A rung that gains less than _RUNG_GAIN over the previous one
-        means this width holds more than one scale or sits on a noise
-        plateau, so the interval is cut: 1/8 of its width from an endpoint
-        that is the worst probe, else at its midpoint. An accepted rung is
-        chopped to its measured error before it is integrated: trailing
-        coefficients whose absolute sum is at most min(err, rtol*scale - err)
-        are dropped (Aurentz & Trefethen, "Chopping a Chebyshev series"). A
-        piece [0, b] with b <= _SLIVER * root holds the kink of a jump
-        transform with a branch point at zero and goes to _R_inner at once.
-        """
+        fails (Chebfun's "splitting on"). Each degree is checked at 29 probes
+        clustered like the Chebyshev points; a rung that gains less than
+        _RUNG_GAIN over the previous one means more than one scale or a noise
+        plateau, so the interval is cut 1/8 of its width from an endpoint that
+        is the worst probe, else at its midpoint. An accepted rung is chopped:
+        trailing coefficients whose absolute sum is at most
+        min(err, rtol*scale - err) are dropped (Aurentz & Trefethen). A piece
+        [0, b] with b <= _SLIVER * root holds the kink of a jump transform with
+        a branch point at zero and goes to _R_inner at once."""
         if a == 0.0 and b <= _SLIVER * self.alpha_lambda:
             anti = self._R_inner
         else:
@@ -565,68 +545,119 @@ class StationarySolution:
             out[~band] = self._Q_bandhi + _eval_pieces(self._outer, 1.0 - A / xs[~band])
         return out
 
-    # -- fixed-rule transform evaluation --------------------------------------
+    # -- graded-rule transform evaluation ------------------------------------
 
-    def _pick_tail_rule(self) -> Tuple[np.ndarray, np.ndarray]:
-        # the 0.004*A probe exposes the weak endpoint kink that heavy-tailed
-        # jump transforms put at zero, the 2*A probe the integral above the
-        # root; analytic models settle two rungs early
-        A = self.alpha_lambda
-        below = np.array([0.004, 0.11, 0.52, 0.9]) * A
-        above = np.array([2.0 * A])
-        prev = None
-        for n in (96, 192, 384, 768):
+    def _settle_tail_rule(self) -> Tuple[tuple, float]:
+        """The graded rules of the transform integrals and A times their value
+        at alpha = 0, 1/b. The rule of depth D has the pieces [0, 1/2],
+        [1 - 2^-k, 1 - 2^-k-1] for 0 < k < D and [1 - 2^-D, 1]. Each piece
+        settles (`_settle`) where it is hardest: the capped rule's at alpha = 0,
+        the other end pieces at A 2^(2-D), the least alpha of their depth, the
+        above-root piece at 2 and at 64 root. Its rungs must agree to a share
+        of _TAIL_TOL (or 4 theta eps, the rounding of the exponent) relative to
+        the integral there: at 0 the capped rule's sum, else the piece itself."""
+        A, top, d0 = self.alpha_lambda, _TAIL_DEPTH, self._depth0
+        cuts = (1.0 - 0.5 ** np.arange(top + 1)).tolist()  # 0, 1/2, 3/4, ...
+        pieces = [(cuts[k], cuts[k + 1], 0.0) for k in range(top)] + [
+            (cuts[d], 1.0, A * 2.0 ** (2 - d) if d < top else 0.0)
+            for d in range(d0, top + 1)] + [(0.0, 1.0, 2.0 * A), (0.0, 1.0, 64.0 * A)]
+        up = len(pieces) - 2
+        # the pieces of each key's rule: 0 above the root, d0.. the depths
+        rules = [[up]] + [[]] * (d0 - 1) + [list(range(d)) + [top + d - d0]
+                                            for d in range(d0, top + 1)]
+        at, weights, raw = np.array([a for *_, a in pieces]), np.empty(len(pieces)), {}
+
+        def sums_at(live, n):  # and the weights, from the sums of the same rung
+            for side in ([i for i in live if i < up], [i for i in live if i >= up]):
+                if side:
+                    S, logW = map(np.concatenate, zip(*(self._piece_rule(*pieces[i][:2], n)
+                                                        for i in side)))
+                    raw.update(zip(side, self._integrals(at[side], S, logW,
+                                                         np.full(len(side), n))))
+            total = sum(raw[i] for i in rules[top])
+            refs = [raw[i] if a else total for i, a in enumerate(at)]
+            weights[:] = [1.0 / r if 0.0 < r < math.inf else math.nan for r in refs]
+            return [raw[i] for i in live]
+
+        done = self._settle(sums_at, weights, max(_TAIL_TOL / (top + 1), 4.0 * self.theta * _EPS),
+                            "endpoint-weighted quadrature did not stabilize")
+        rules[0] = [max(up, up + 1, key=lambda i: done[i][0])]
+        parts = [self._piece_rule(lo, hi, n) for (lo, hi, _), (n, _) in zip(pieces, done)]
+        lens = np.array([sum(len(parts[i][0]) for i in rule) for rule in rules])
+        S, logW = (np.concatenate([parts[i][j] for rule in rules for i in rule]) for j in (0, 1))
+        return (S, logW, np.cumsum(lens) - lens, lens), A * float(sum(raw[i] for i in rules[top]))
+
+    def _piece_rule(self, lo: float, hi: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Nodes and log weights of the n-node Gauss rule for int_lo^hi
+        s^(theta K) u(s) ds: Jacobi for the weight on [0, hi], else Legendre."""
+        if lo == 0.0:
             S, W = _jacobi_rule(n, self._tK)
-            vals = np.concatenate([self._below_integral(below, S, W),
-                                   self._above_integral(above, S, W)])
-            if prev is not None and np.all(np.abs(vals - prev) <= 4e-12 * (np.abs(vals) + 1.0)):
-                return S, W
-            prev = vals
-        raise self._failure("endpoint-weighted quadrature did not stabilize")
+            with np.errstate(divide="ignore"):  # a weight below the smallest double
+                return hi * S, np.log(W) + (self._tK + 1.0) * math.log(hi)
+        T, W = _legendre_rule(n)
+        s = lo + (hi - lo) * T
+        return s, np.log((hi - lo) * W) + self._tK * np.log(s)
 
-    def _below_integral(self, alphas: np.ndarray, S: np.ndarray,
-                        W: np.ndarray) -> np.ndarray:
-        """int_0^1 s^(theta K) exp(-theta (R(x)-R(alpha))) ds at
-        x = A - (A-alpha) s for each alpha below the root; at most
-        1/(1+theta K) where R increases on [alpha, A], but a remainder that
-        dips below zero at large theta can push it past the float range."""
+    def _rule_keys(self, alphas: np.ndarray) -> np.ndarray:
+        """Key of each alpha's rule: 0 above the root, else the depth
+        ceil(log2(A/|alpha|)) + 2 = 3 - (binary exponent of alpha/A) within
+        [_depth0, _TAIL_DEPTH], so the end piece is at most a quarter as wide
+        as its distance to x = 0; alpha = 0 takes the cap."""
         A = self.alpha_lambda
-        xs = A - (A - alphas)[:, None] * S
-        R = self._R(np.concatenate([xs.ravel(), alphas]))
-        expo = R[:xs.size].reshape(xs.shape) - R[xs.size:, None]
-        return (np.exp(-self.theta * expo) * W).sum(axis=1)
+        depth = np.minimum(np.maximum(3 - np.frexp(alphas / A)[1], self._depth0), _TAIL_DEPTH)
+        return np.where(alphas > A, 0, np.where(alphas == 0.0, _TAIL_DEPTH, depth))
 
-    def _above_integral(self, alphas: np.ndarray, S: np.ndarray,
-                        W: np.ndarray) -> np.ndarray:
-        """int_0^1 s^(theta K) (x/alpha)^(theta(1-K))
-        exp(-theta (Q(alpha)-Q(x))) ds at x = A + (alpha-A) s for each alpha
-        above the root; rescaled to s so the weight never overflows."""
-        A, th = self.alpha_lambda, self.theta
-        xs = A + (alphas - A)[:, None] * S
-        Q = self._Q(np.concatenate([xs.ravel(), alphas]))
-        dq = Q[xs.size:, None] - Q[:xs.size].reshape(xs.shape)
-        vals = (xs / alphas[:, None]) ** (th * (1.0 - self.K)) * np.exp(-th * dq)
-        return (vals * W).sum(axis=1)
+    def _rule_rows(self, alphas: np.ndarray, keys: np.ndarray) -> tuple:
+        """(alphas, nodes, log weights, lengths) of the keys' rules end to end."""
+        S, logW, start, lens = self._rule
+        n = lens[keys]
+        idx = np.arange(n.sum()) + np.repeat(start[keys] - np.cumsum(n) + n, n)
+        return alphas, S[idx], logW[idx], n
+
+    def _integrals(self, alphas: np.ndarray, S: np.ndarray, logW: np.ndarray,
+                   lens: np.ndarray) -> np.ndarray:
+        """Integral of each alpha's branch on its row of `_rule_rows`, all
+        alphas on one side of the root: below it int_0^1 s^(theta K)
+        exp(-theta (R(x)-R(alpha))) ds at x = A - (A-alpha) s, which a
+        remainder that dips below zero at large theta can push past the float
+        range; above it int_A^alpha ((x-A)/(alpha-A))^(theta K)
+        (x/alpha)^(theta(1-K)) exp(-theta (Q(alpha)-Q(x))) dx/(alpha-A) at
+        x = A + (alpha-A) s, or, where theta K < 4 leaves the weight too weak
+        to hide the branch point x = 0 of far alphas, x = A (alpha/A)^s."""
+        A = self.alpha_lambda
+        a = np.repeat(alphas, lens)
+        if np.all(alphas <= A):
+            xs = A + (a - A) * S
+            R = self._R(np.concatenate([xs, alphas]))
+            logv = self.theta * (np.repeat(R[xs.size:], lens) - R[:xs.size])
+        else:
+            c, geo = np.log1p((a - A) / A), self._tK < 4.0
+            xs = A * np.exp(c * S) if geo else A + (a - A) * S
+            Q = self._Q(np.concatenate([xs, alphas]))
+            logv = self.theta * ((1.0 - self.K) * np.log(xs / a) - np.repeat(Q[xs.size:], lens)
+                                 + Q[:xs.size])
+            if geo:  # ((x-A)/(alpha-A)/s)^(theta K) and dx/ds/(alpha-A)
+                logv += (self._tK * np.log(np.expm1(c * S) / (S * np.expm1(c)))
+                         + np.log(c * xs / (a - A)))
+        return np.add.reduceat(np.exp(logW + logv), np.cumsum(lens) - lens)
 
     def _lst_many(self, alphas: np.ndarray) -> np.ndarray:
         """Stationary transform at every alpha of a 1-d array (alpha at or
-        above the margin): b (A-alpha) / (1 - phi(alpha)/lam) times the
-        endpoint-weighted integral of its branch, in (alpha x node) blocks of
-        about _CHUNK products."""
-        m, lam, A = self.model, self.lam, self.alpha_lambda
-        S, W = self._tail_s, self._tail_w
+        above the margin): b (A-alpha) / (1 - phi(alpha)/lam) `_integrals`,
+        the rows of a branch flat, in blocks of about _CHUNK nodes."""
+        A = self.alpha_lambda
         out = np.empty_like(alphas)
         at = np.abs(alphas - A) <= _AT_ROOT_RTOL * A
-        out[at] = self.b / (self.theta / A + self.phi_prime_root / lam)
-        rows = max(1, _CHUNK // len(S))
-        for mask, integral in ((~at & (alphas < A) & (alphas != 0.0), self._below_integral),
-                               (~at & (alphas > A), self._above_integral)):
-            idx = np.flatnonzero(mask)
-            for i in range(0, len(idx), rows):
-                sel = idx[i:i + rows]
-                a = alphas[sel]
-                one_minus = 1.0 - np.array([m.phi(float(x)) for x in a]) / lam
-                out[sel] = self.b * (A - a) / one_minus * integral(a, S, W)
+        out[at] = self.b / (self.theta / A + self.phi_prime_root / self.lam)
+        sides = (~at & (alphas < A) & (alphas != 0.0), ~at & (alphas > A))
+        for idx in (i for i in map(np.flatnonzero, sides) if i.size):
+            keys = self._rule_keys(alphas[idx])
+            n = self._rule[3][keys]
+            cuts = (np.flatnonzero(np.diff((np.cumsum(n) - n) // _CHUNK)) + 1).tolist()
+            for i, j in zip([0] + cuts, cuts + [idx.size]):
+                sel, k, a = idx[i:j], keys[i:j], alphas[idx[i:j]]
+                one_minus = 1.0 - np.array([self.model.phi(float(x)) for x in a]) / self.lam
+                out[sel] = self.b * (A - a) / one_minus * self._integrals(*self._rule_rows(a, k))
         out[alphas == 0.0] = 1.0
         return out
 
@@ -644,14 +675,14 @@ class StationarySolution:
         Slightly negative alpha (within the analytic margin of the model) is
         accepted so derivative diagnostics can difference across zero.
         """
-        if alpha < self._lo:
-            raise DomainError(f"alpha = {alpha} below the analytic margin {self._lo}")
+        if not self._lo <= alpha < math.inf:
+            raise DomainError(f"alpha = {alpha} not finite or below the margin {self._lo}")
         return float(self._lst_many(np.array([alpha], dtype=float))[0])
 
     def g(self, alpha: float) -> float:
         """Normalizing primitive g on [0, root]; g(root) = 1/b."""
         A = self.alpha_lambda
-        if alpha < 0 or alpha > A * (1.0 + 1e-12):
+        if not 0 <= alpha <= A * (1.0 + 1e-12):
             raise DomainError("g is defined on [0, alpha_lambda]")
         alpha = min(alpha, A)
         R0, Ra = self._R(np.array([0.0, alpha]))
@@ -662,52 +693,37 @@ class StationarySolution:
             return alpha * float(W @ vals)
         scale = ((A - alpha) / A) ** self._tK * (A - alpha) * math.exp(
             -self.theta * (Ra - R0))
-        tail = self._below_integral(np.array([alpha]), self._tail_s, self._tail_w)
+        a = np.array([alpha])
+        tail = self._integrals(*self._rule_rows(a, self._rule_keys(a)))
         return self._gA - scale * float(tail[0])
 
     def mean_lst_collapsed(self, scale: float) -> float:
-        """E f(scale * U) for the Beta(theta, 1) multiplier U.
-
-        Every theta takes the same composite rule, each piece of which must
-        pass its own rung-against-rung check, within its share of the total
-        budget _COLLAPSE_TOL (`_collapse_ladder`); only the grading of the
-        pieces depends on theta. For theta above _COLLAPSE_SPAN the
-        average is a single Gauss-Jacobi sum over [0, scale], whose rule is
-        exact for the t^(theta-1) weight however close to t = 1 it crowds.
-        """
+        """E f(scale * U) for the Beta(theta, 1) multiplier U, on the composite
+        rule of `_collapse_ladder`, graded by theta; above _COLLAPSE_SPAN one
+        Gauss-Jacobi sum over [0, scale], exact for the t^(theta-1) weight."""
         if scale == 0.0:
             return 1.0
-        if scale < self._lo:
-            raise DomainError(f"scale = {scale} below the analytic margin {self._lo}")
+        if not self._lo <= scale < math.inf:
+            raise DomainError(f"scale = {scale} not finite or below the margin {self._lo}")
         return self._collapse_ladder(float(scale))
 
     def _collapse_ladder(self, scale: float) -> float:
-        """Composite rule for int_0^scale theta (x/scale)^(theta-1) f(x) dx/scale,
-        each piece at growing node counts until two consecutive sums of it
-        agree to its share of the total budget _COLLAPSE_TOL.
+        """Composite rule for int_0^scale theta (x/scale)^(theta-1) f(x) dx/scale.
 
-        A piece [a, b] of N gets _COLLAPSE_TOL / N of the weighted sum, so
-        its rungs must agree to _COLLAPSE_TOL / N / (b/scale)^theta. A piece
-        that settles keeps its finer rung and leaves the batch; each rung
-        evaluates the unsettled pieces in one `_lst_many` call, so a piece
-        that needs a high rung (the innermost one for theta < 1, whose
-        substitution converges algebraically) does not drag the others up.
-
-        The cuts are the binary multiples of the root in
-        [min(|scale|, root) 2^-h, |scale|), then scale itself, at the depth
-        h = min(_COLLAPSE_HALVINGS, floor(_COLLAPSE_SPAN / theta)): no piece
-        straddles the branch switch at the root, the pieces grade down toward
-        zero, where heavy-tailed transforms have their alpha^delta kink and
-        nearby negative poles limit the convergence of a single piece, and
-        below the root they do not move with the scale. A piece [a, b] is
-        summed as int_a^b theta (x/b)^(theta-1) f(x) dx/b, which does not
-        depend on the scale, memoized under (a, b, n) and weighted by
-        (b/scale)^theta. The innermost piece [0, c] carries the weight's
-        singularity: a Gauss-Jacobi rule for s^(theta-1) when theta >= 1, the
-        substitution v = s^theta below that (Jacobi rules lose digits as
-        their exponent approaches -1). At h = 0 (theta > _COLLAPSE_SPAN)
-        there is no cut, not even at the root: [0, scale] is that innermost
-        piece, and the transform is smooth where its weight lies.
+        A piece [a, b] of N gets _COLLAPSE_TOL / N of the weighted sum, so its
+        rungs (`_settle`, one `_lst_many` call per rung) must agree to
+        _COLLAPSE_TOL / N / (b/scale)^theta. The cuts are the binary multiples
+        of the root in [min(|scale|, root) 2^-h, |scale|), then scale, at the
+        depth h = min(_COLLAPSE_HALVINGS, floor(_COLLAPSE_SPAN / theta)): no
+        piece straddles the root, the pieces grade toward zero, where
+        heavy-tailed transforms have their kink and nearby negative poles
+        limit a single piece, and below the root they do not move with the
+        scale. A piece [a, b] is summed as int_a^b theta (x/b)^(theta-1) f(x)
+        dx/b, memoized under (a, b, n) and weighted by (b/scale)^theta. The
+        innermost piece [0, c] takes a Gauss-Jacobi rule for s^(theta-1) when
+        theta >= 1, else the substitution v = s^theta (Jacobi rules lose
+        digits as their exponent nears -1). At h = 0 [0, scale] is that
+        innermost piece, and the transform is smooth where its weight lies.
         """
         A, th, mag = self.alpha_lambda, self.theta, abs(scale)
         depth = int(min(_COLLAPSE_HALVINGS, _COLLAPSE_SPAN // th))
@@ -721,11 +737,9 @@ class StationarySolution:
                 cut *= 2.0
         edges = np.copysign(edges + [mag], scale)
         weights = (edges[1:] / scale) ** th
-        share = _COLLAPSE_TOL / len(weights)
         spans = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
-        prev, done = [None] * len(spans), [None] * len(spans)
-        for n in _COLLAPSE_LADDER:
-            live = [i for i, v in enumerate(done) if v is None]
+
+        def sums_at(live, n):
             keys = [spans[i] + (n,) for i in live]
             sums = {k: self._pieces[k] for k in keys if k in self._pieces}
             todo = [k for k in keys if k not in sums]
@@ -742,20 +756,34 @@ class StationarySolution:
                 sums.update(zip(todo, vals.tolist()))
                 if len(self._pieces) < _PIECES_CAP:
                     self._pieces.update((k, sums[k]) for k in todo)
-            for i, k in zip(live, keys):
-                if prev[i] is not None and weights[i] * abs(sums[k] - prev[i]) <= share:
-                    done[i] = sums[k]
-                prev[i] = sums[k]
+            return [sums[k] for k in keys]
+
+        done = self._settle(sums_at, weights, _COLLAPSE_TOL / len(weights),
+                            f"E f({scale:.6g} U) did not converge")
+        return float(weights @ np.array([v for _, v in done]))
+
+    def _settle(self, sums_at: Callable[[list, int], Sequence[float]],
+                weights: np.ndarray, share: float, what: str) -> list:
+        """(nodes, sum) of every piece of a composite rule, each on its own
+        rung: it climbs _COLLAPSE_LADDER until two consecutive sums agree to
+        share / its weight. sums_at(live, n) sums the listed pieces on n nodes
+        in one batch (and may update the weights), so a settled piece leaves
+        the batch, and one that needs a high rung drags no other up."""
+        prev, done = [None] * len(weights), [None] * len(weights)
+        for n in _COLLAPSE_LADDER:
+            live = [i for i, v in enumerate(done) if v is None]
+            for i, v in zip(live, sums_at(live, n)):
+                if prev[i] is not None and weights[i] * abs(v - prev[i]) <= share:
+                    done[i] = (n, v)
+                prev[i] = v
             if None not in done:
-                return float(weights @ np.array(done))
-        raise self._failure(f"E f({scale:.6g} U) did not converge")
+                return done
+        raise self._failure(what)
 
     def moments(self, n_max: int) -> list:
-        """Stationary moments m_0..m_n from the cumulant recursion.
-
-        m_1 balances drift against collapse loss; higher orders recurse
-        through binomial sums and may be +infinity when a jump moment is.
-        """
+        """Stationary moments m_0..m_n from the cumulant recursion: m_1
+        balances drift against collapse loss, higher orders recurse through
+        binomial sums and are +infinity where a jump moment is."""
         if n_max < 0:
             raise DomainError("moment order must be >= 0")
         m_list = [1.0]
@@ -766,20 +794,10 @@ class StationarySolution:
         m1 = (th + 1.0) * (c1 / lam + self.mean_lst_collapsed(A) / A)
         m_list.append(m1)
         for n in range(2, n_max + 1):
-            if any(math.isinf(mk) for mk in m_list):
-                m_list.append(math.inf)
-                continue
-            total = 0.0
-            hit_inf = False
-            for k in range(n):
-                c = self.model.cumulant(n - k)
-                if math.isinf(c):
-                    if m_list[k] != 0.0:
-                        hit_inf = True
-                        break
-                    continue
-                total += math.comb(n, k) * m_list[k] * c
-            m_list.append(math.inf if hit_inf else (th + n) / n * total / lam)
+            terms = [math.comb(n, k) * m_list[k] * self.model.cumulant(n - k)
+                     for k in range(n) if m_list[k] != 0.0]
+            inf = any(map(math.isinf, m_list + terms))
+            m_list.append(math.inf if inf else (th + n) / n * sum(terms) / lam)
         return m_list
 
     def grid(self, alphas: Sequence[float]) -> "TransformGrid":
@@ -788,8 +806,8 @@ class StationarySolution:
             raise DomainError("alpha grid must be non-empty")
         if any(b <= a for a, b in zip(alphas, alphas[1:])):
             raise DomainError("alpha grid must be strictly increasing")
-        if alphas[0] < 0:
-            raise DomainError("alpha grid must be nonnegative")
+        if not all(0 <= a < math.inf for a in alphas):
+            raise DomainError("alpha grid must be finite and nonnegative")
         values = tuple(float(v) for v in self._lst_many(np.array(alphas)))
         tags = tuple(self.branch(a) for a in alphas)
         for a, v in zip(alphas, values):
@@ -813,14 +831,11 @@ def stationary_solution(model: LevyModel, lam: float, theta: float, /) -> Statio
 
 
 def fixed_point_residual(model: LevyModel, lam: float, theta: float, alpha: float) -> float:
-    """|f(alpha)(1 - phi(alpha)/lam) - E f(alpha U) + (alpha/root) E f(root U)|.
-
-    The stationary transform is the unique bounded solution of this
-    distributional fixed point, so the residual is a route-independent
-    correctness probe for any alpha >= 0.
-    """
-    if alpha < 0:
-        raise DomainError("alpha must be >= 0")
+    """|f(alpha)(1 - phi(alpha)/lam) - E f(alpha U) + (alpha/root) E f(root U)|:
+    the transform is the unique bounded solution of this fixed point, so
+    the residual is a route-independent correctness probe."""
+    if not 0 <= alpha < math.inf:
+        raise DomainError("alpha must be finite and >= 0")
     sol = stationary_solution(model, lam, theta)
     A = sol.alpha_lambda
     lhs = sol.lst(alpha) * (1.0 - model.phi(alpha) / lam)
@@ -864,12 +879,9 @@ def incomplete_beta(z: float, a1: float, a2: float) -> float:
 
 
 def bm_roots(c: float, sigma2: float, lam: float) -> Tuple[float, float, float, float]:
-    """(y1, y2, D1, D2) for the Brownian-input closed form.
-
-    y1 > 0 > y2 solve lam - phi(alpha) = 0 as a quadratic; the better
-    conditioned root is computed first and the other recovered from the
-    product y1*y2 = -2*lam/sigma2.
-    """
+    """(y1, y2, D1, D2) for the Brownian-input closed form: y1 > 0 > y2
+    solve lam - phi(alpha) = 0, the better conditioned root first and the
+    other from the product y1*y2 = -2*lam/sigma2."""
     if sigma2 <= 0 or lam <= 0:
         raise DomainError("need sigma2 > 0 and lam > 0")
     half_sum = c / sigma2
@@ -908,12 +920,9 @@ def bm_closed_form_lst(c: float, sigma2: float, lam: float, alpha: float) -> flo
 
 
 def mm1_roots(d: float, gamma: float, mu: float, lam: float) -> Tuple[float, float, float, float]:
-    """(z1, z2, F1, F2) for the exponential-jump closed form.
-
-    z1 > 0 > z2 solve the quadratic with sum s = (lam + gamma)/d - mu and
-    product -lam*mu/d; as in `bm_roots` the root without cancellation is
-    computed first and the other recovered from the product.
-    """
+    """(z1, z2, F1, F2) for the exponential-jump closed form: z1 > 0 > z2
+    solve the quadratic with sum s = (lam + gamma)/d - mu and product
+    -lam*mu/d, the root without cancellation first, as in `bm_roots`."""
     if d <= 0 or gamma < 0 or mu <= 0 or lam <= 0:
         raise DomainError("need d > 0, gamma >= 0, mu > 0, lam > 0")
     s = (lam + gamma) / d - mu
@@ -931,14 +940,10 @@ def mm1_roots(d: float, gamma: float, mu: float, lam: float) -> Tuple[float, flo
 def mm1_closed_form_lst(d: float, gamma: float, mu: float, lam: float,
                         alpha: float) -> float:
     """Stationary transform for exponential jumps minus drift, Uniform
-    multipliers.
-
-    Follows f = (1 - g/g(z1)) / (g'(alpha) (1 - phi(alpha)/lam)) with the
-    partial-fraction primitive g; since here 1 - phi(alpha)/lam =
-    d (z1-alpha)(alpha-z2) / (lam (mu+alpha)), the compact power-product
-    form carries an extra factor (mu + alpha)/mu relative to the Brownian
-    pattern.
-    """
+    multipliers: f = (1 - g/g(z1)) / (g'(alpha) (1 - phi(alpha)/lam)) with
+    the partial-fraction primitive g. Here 1 - phi(alpha)/lam =
+    d (z1-alpha)(alpha-z2) / (lam (mu+alpha)), so the power-product form
+    carries a factor (mu + alpha)/mu beyond the Brownian pattern."""
     z1, z2, f1, f2 = mm1_roots(d, gamma, mu, lam)
     if not 0.0 <= alpha < z1:
         raise DomainError("closed form needs 0 <= alpha < z1")
@@ -973,14 +978,10 @@ def tail_constant(gamma: float, lam: float, delta: float) -> float:
 
 def small_alpha_expansion_check(model: LevyModel, lam: float,
                                 alphas: Sequence[float]) -> list:
-    """[f(alpha) - 1 + E[Z*] alpha] / alpha^delta on a small-alpha grid.
-
-    For Pareto jumps the returned ratios should flatten toward
-    tail_constant(gamma, lam, delta) * (-Gamma(1-delta)) * xm^delta as
-    alpha decreases; E[Z*] is taken from the transform-side identity
-    b - 2 (d - gamma E B)/lam rather than the moment recursion so the two
-    routes stay independent.
-    """
+    """[f(alpha) - 1 + E[Z*] alpha] / alpha^delta on a small-alpha grid: for
+    Pareto jumps the ratios flatten toward tail_constant(gamma, lam, delta)
+    * (-Gamma(1-delta)) * xm^delta. E[Z*] comes from the transform-side
+    identity b - 2 (d - gamma E B)/lam, not the moment recursion."""
     if not isinstance(model, CppMinusDrift) or not isinstance(model.jumps, Pareto):
         raise ModelError("expansion check requires drift-drained Pareto jumps"
                          + _naming(model, lam))
@@ -998,14 +999,10 @@ def small_alpha_expansion_check(model: LevyModel, lam: float,
 def onoff_mixture_lst(model: LevyModel, lam: float, eta: float, r: float,
                       alpha: float) -> float:
     """Time-stationary transform of an on/off variant: reflected motion
-    during exp(lam) on-periods, exponential decay at rate r per unit level
-    during exp(eta) off-periods.
-
-    The decay factor over one off-period is exp(-r T) with T ~ exp(eta),
-    i.e. a Beta(eta/r, 1) multiplier, so on-period ends follow the collapsed
-    process with theta = eta/r. Off samples add one extra multiplier by
-    memorylessness of the elapsed off time.
-    """
+    during exp(lam) on-periods, decay at rate r per unit level during
+    exp(eta) off-periods. The decay over one off-period is a Beta(eta/r, 1)
+    multiplier, so on-period ends follow the collapsed process with
+    theta = eta/r; off samples add one multiplier (memorylessness)."""
     if eta <= 0 or r <= 0:
         raise DomainError("eta and r must be positive")
     if alpha < 0:

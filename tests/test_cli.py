@@ -131,6 +131,14 @@ def test_parse_error_carries_line_numbers():
         parse_config("model.kind = bm\nmodel.c = 0\nmodel.sigma2 = 2\nmodel.c = 1\n")
     with pytest.raises(ParseError, match="line 2.*number"):
         parse_config("model.kind = bm\nmodel.c = fast\n")
+    # nan passes every range check, inf some: each numeric reader refuses both
+    mm1 = MM1_TEXT.replace("lambda = 1\n", "lambda = 1\nengine = path\n")
+    for line, text in ((10, mm1 + "alphas = nan\n"), (10, mm1 + "alphas = 0.5 inf\n"),
+                       (10, mm1 + "horizon = inf\n"), (10, mm1 + "z0 = inf\n"),
+                       (7, mm1.replace("lambda = 1", "lambda = -inf")),
+                       (10, mm1 + "tol.b = nan\n")):
+        with pytest.raises(ParseError, match=f"^line {line}: .* needs a finite number$"):
+            parse_config(text)
 
 
 def test_validation_errors_name_the_key():
@@ -404,7 +412,8 @@ def test_cli_validate_pass_and_fail(tmp_path, capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert lines and all(l.startswith("PASS") for l in lines)
 
-    path = write_cfg(tmp_path, base + "tol.moment = 1e-30\ntol.b = 1e-30\n"
+    # b of this case is 4/pi to the last bit, so no tolerance >= 0 fails it
+    path = write_cfg(tmp_path, base + "tol.moment = 1e-30\ntol.b = -1\n"
                      + f"out = {tmp_path / 'bad'}\n", name="bad.cfg")
     assert main(["validate", "--config", path]) == 1
     got = capsys.readouterr()

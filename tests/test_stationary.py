@@ -589,6 +589,20 @@ def test_transform_grid_validation():
             stationary_solution(BM, 1.0, 1.0).grid(bad)
 
 
+def test_transform_entries_refuse_non_finite_alpha():
+    # nan passes every `alpha < 0` check; it used to come back as 0.0, nan or
+    # a QuadratureFailure, and inf as a warning and nan
+    sol = stationary_solution(MM1, 1.0, 1.0)
+    for bad in (math.nan, math.inf):
+        for call in (sol.lst, sol.g, sol.mean_lst_collapsed,
+                     lambda a: sol.grid((0.5, a)),
+                     lambda a: fixed_point_residual(MM1, 1.0, 1.0, a),
+                     lambda a: w_tau_lst(MM1, 1.0, a),
+                     lambda a: wx_joint_lst(MM1, 1.0, 0.5, a)):
+            with pytest.raises(DomainError):
+                call(bad)
+
+
 def test_solution_cache_returns_same_object():
     assert stationary_solution(BM, 1.0, 1.0) is stationary_solution(BM, 1.0, 1.0)
 
@@ -596,6 +610,60 @@ def test_solution_cache_returns_same_object():
 # ---------------------------------------------------------------------------
 # fixed-rule quadrature: batched evaluator and collapse averages
 # ---------------------------------------------------------------------------
+
+
+def _tanh_sinh_integral(sol, alpha, h):
+    """int_0^1 s^(theta K) exp(-theta (R(x) - R(alpha))) ds at
+    x = A - (A - alpha) s by the tanh-sinh rule of step h, which converges
+    double-exponentially through the kink heavy-tailed transforms put at
+    x = 0; 1 - s is formed apart so the nodes next to x = alpha keep their
+    digits."""
+    t = np.arange(-4.5, 4.5 + h / 2.0, h)
+    u = 0.5 * math.pi * np.sinh(t)
+    s, rest = 1.0 / (1.0 + np.exp(-2.0 * u)), 1.0 / (1.0 + np.exp(2.0 * u))
+    w = h * math.pi * np.cosh(t) / (4.0 * np.cosh(u) ** 2)
+    A = sol.alpha_lambda
+    x = np.where(s < 0.5, A - (A - alpha) * s, alpha + (A - alpha) * rest)
+    R = sol._R(np.append(x, alpha))
+    return float(np.sum(w * np.exp(sol._tK * np.log(s) - sol.theta * (R[:-1] - R[-1]))))
+
+
+# seed-1 models of the benchmark sweep (erlang.0.1, erlang.6.7, pareto.6.9,
+# sum.1.8) whose normalizer the single Gauss-Jacobi tail rule missed by up to
+# 9e-11, or which need more than 24 nodes on the s^(theta K) piece
+SWEEP_TAIL = (
+    (CppMinusDrift(2.2050395423049376, 4.239496019327667, Erlang(6, 0.3366198472373223)),
+     0.019248515793123804, 0.46921850005193316),
+    (CppMinusDrift(0.3401939094669294, 3.811151568867005, Erlang(6, 0.23937397537601385)),
+     0.2984270795747443, 0.04989457230495201),
+    (CppMinusDrift(0.38736126393535064, 0.29143232736489905,
+                   Pareto(1.7855346569080204, 0.904035356124912)),
+     5.322012708823504, 67.60533058244532),
+    (Sum((BrownianDrift(-0.9576978799787719, 0.2376854629665037),
+          CppMinusDrift(0.1258555431201352, 1.1933575304687967,
+                        Exponential(0.37358787894676637)))),
+     0.20097691119424899, 314.3803371256309),
+)
+
+
+@pytest.mark.parametrize("model, lam, theta", (
+    (PARETO15, 1.0, 1.0), (PARETO15, 1.0, 100.0), (PARETO15, 1.0, 200.0)) + SWEEP_TAIL, ids=(
+    "pareto15.1", "pareto15.100", "pareto15.200",
+    "erlang.0.1", "erlang.6.7", "pareto.6.9", "sum.1.8"))
+def test_normalizer_and_small_alpha_transforms_match_a_reference(model, lam, theta):
+    # b is formed at alpha = 0, where the kink of a heavy-tailed transform
+    # sits on the end of the integral; the reference shares only R with the
+    # solution, not its rule
+    sol = stationary.StationarySolution(model, lam, theta)
+    A = sol.alpha_lambda
+    fine, coarse = (_tanh_sinh_integral(sol, 0.0, h) for h in (1.0 / 128.0, 1.0 / 64.0))
+    assert coarse == pytest.approx(fine, rel=1e-14)  # the reference has settled
+    b = 1.0 / (A * fine)
+    assert sol.b == pytest.approx(b, rel=1e-12)
+    for fac in (1e-6, 1e-4):
+        a = fac * A
+        want = b * (A - a) / (1.0 - model.phi(a) / lam) * _tanh_sinh_integral(sol, a, 1.0 / 128.0)
+        assert sol.lst(a) == pytest.approx(want, rel=1e-12), fac
 
 
 def test_batched_transform_equals_scalar_on_every_branch():
@@ -613,7 +681,8 @@ def test_batched_transform_equals_scalar_on_every_branch():
             assert v == sol.lst(x)
     # more rows than one block of (alpha x node) products holds
     sol = stationary_solution(MM1, 1.0, 1.0)
-    rows = stationary._CHUNK // len(sol._tail_s)
+    lens = sol._rule[3]
+    rows = stationary._CHUNK // int(lens[lens > 0].min())
     alphas = np.linspace(sol._lo, 3.0 * sol.alpha_lambda, 2 * rows + 7)
     batch = sol._lst_many(alphas)
     assert all(v == sol.lst(x) for x, v in zip(alphas, batch))
@@ -724,6 +793,19 @@ def _record_transform_nodes(monkeypatch):
     return seen
 
 
+def test_transform_rule_stays_small_away_from_zero(monkeypatch):
+    # the collapse ladders evaluate most transforms far from zero, where the
+    # graded rule must not outgrow the single 192-node rule it replaced
+    seen = _record_transform_nodes(monkeypatch)
+    for model in (BM, MM1, PARETO15):
+        sol = stationary.StationarySolution(model, 1.0, 1.0)
+        seen.clear()
+        sol.mean_lst_collapsed(1.5 * sol.alpha_lambda)
+        far = np.concatenate(seen)
+        far = far[far >= 0.5 * sol.alpha_lambda]
+        assert far.size > 0 and sol._rule[3][sol._rule_keys(far)].max() <= 192, model
+
+
 @pytest.mark.parametrize("theta", (0.03, 0.9))
 def test_collapse_average_settles_each_piece_on_its_own_rung(monkeypatch, theta):
     # a piece that settles on an early rung leaves the batch: only the
@@ -771,8 +853,8 @@ def test_remainder_piece_failure_names_the_model(monkeypatch):
 
 def test_endpoint_rule_failure_names_the_model(monkeypatch):
     # every rung gives another value, so the ladder never settles
-    monkeypatch.setattr(stationary.StationarySolution, "_above_integral",
-                        lambda self, alphas, S, W: np.full(len(alphas), float(len(S))))
+    monkeypatch.setattr(stationary.StationarySolution, "_integrals",
+                        lambda self, alphas, S, logW, lens: np.full(len(alphas), float(len(S))))
     with pytest.raises(QuadratureFailure) as err:
         stationary.StationarySolution(BM, 0.7, 1.3)
     _assert_names_the_model(err, "endpoint-weighted quadrature did not stabilize",

@@ -31,8 +31,6 @@ from .models import (
     Pareto,
     Sum,
     Uniform01,
-    collapse_from_theta,
-    cumulant,
 )
 from .stationary import (
     StationarySolution,

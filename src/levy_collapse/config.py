@@ -13,6 +13,7 @@ from typing import Dict, Optional, Tuple
 
 from .errors import ModelError, ParseError, ValidationError
 from .models import (
+    Beta1,
     BrownianDrift,
     CollapseLaw,
     CppMinusDrift,
@@ -22,11 +23,15 @@ from .models import (
     LevyModel,
     Pareto,
     Sum,
-    collapse_from_theta,
+    Uniform01,
 )
 from .simulate import _EPS_TRUNC, _RESERVOIR_CAP
 
 _ENGINES = ("embedded", "loynes", "path")
+
+# validate's tolerances by name, the defaults of the `tol.<name>` keys
+TOLS = {"root": 1e-12, "b": 1e-8, "f": 1e-7, "moment": 1e-8, "dual_route": 1e-8,
+        "fixed_point": 1e-7, "coupling": 1e-9}
 
 
 @dataclass(frozen=True)
@@ -55,11 +60,9 @@ class RunConfig:
     suite: str = "all"
     tols: Tuple[Tuple[str, float], ...] = ()
 
-    def tol(self, name: str, default: float) -> float:
-        for key, val in self.tols:
-            if key == name:
-                return val
-        return default
+    def tol(self, name: str) -> float:
+        """The `tol.<name>` override, else the default in TOLS."""
+        return dict(self.tols).get(name, TOLS[name])
 
     def seed(self) -> int:
         if self.master_seed is None:
@@ -151,16 +154,15 @@ class _Fields:
         return val
 
     def finish_prefixless(self) -> Tuple[Tuple[str, float], ...]:
-        """Collect tol.* overrides, then reject anything left over."""
+        """Collect the tol.<name> overrides of TOLS, then reject anything
+        left over, misspelled tolerance names included."""
         tols = []
-        for key in sorted(self._raw):
-            if key.startswith("tol.") and key not in self._seen:
-                self._seen.add(key)
-                val, lineno = self._raw[key]
-                try:
-                    tols.append((key[4:], _finite(float(val), key, lineno)))
-                except ValueError:
-                    raise ParseError(f"line {lineno}: {key} needs a number") from None
+        for name in TOLS:
+            val = self.float_("tol." + name)
+            if val is not None:
+                if val < 0:
+                    raise ValidationError(f"tol.{name} must be >= 0")
+                tols.append((name, val))
         unknown = sorted(set(self._raw) - self._seen)
         if unknown:
             raise ValidationError(f"unknown key {unknown[0]!r}")
@@ -226,11 +228,11 @@ def _build_collapse(f: _Fields) -> CollapseLaw:
     if kind is None:
         raise ValidationError("collapse is required (uniform or beta)")
     if kind == "uniform":
-        return collapse_from_theta(1.0)
+        return Uniform01()
     if kind == "beta":
         theta = f.require("collapse.theta", f.float_)
         try:
-            return collapse_from_theta(theta)
+            return Beta1(theta)
         except ModelError as exc:
             raise ValidationError(f"collapse.theta: {exc}") from None
     raise ValidationError("collapse must be uniform or beta")

@@ -5,10 +5,16 @@ phi(alpha) = log E exp(-alpha * X_1), which is finite and convex on
 [0, infinity) for the whole catalog. Jump sizes are strictly positive, so
 X has no negative jumps and the reflected process can be analyzed through
 phi alone.
+
+Each object has one representation: a Brownian part with drift
+(BrownianDrift), compound Poisson jumps at a positive rate minus a linear
+drain (CppMinusDrift), and independent sums of these (Sum). A drain without
+jumps is BrownianDrift(-d, 0). The collapse multipliers are Beta(theta, 1)
+(Beta1); the uniform law is Beta(1, 1) (Uniform01).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -28,8 +34,6 @@ __all__ = [
     "Uniform01",
     "Beta1",
     "CollapseLaw",
-    "collapse_from_theta",
-    "cumulant",
 ]
 
 # Arguments with alpha*scale above this make exp(-alpha*x) underflow anyway.
@@ -161,9 +165,6 @@ class Exponential:
     def moment(self, n: int) -> float:
         return math.factorial(n) / self.mu**n
 
-    def mean(self) -> float:
-        return 1.0 / self.mu
-
     def excess_lst(self, alpha: float) -> float:
         """lst(alpha) - 1 + mean*alpha, computed without cancellation."""
         return alpha * alpha / (self.mu * (self.mu + alpha))
@@ -210,15 +211,12 @@ class Erlang:
             rising *= self.shape + j
         return rising / self.rate**n
 
-    def mean(self) -> float:
-        return self.shape / self.rate
-
     def excess_lst(self, alpha: float) -> float:
         """lst(alpha) - 1 + mean*alpha; the binomial series of (1+u)^-shape,
         u = alpha/rate, from its u^2 term while shape*|u| <= 1/2."""
         k, u = self.shape, alpha / self.rate
         if k * abs(u) > 0.5:
-            return self.lst(alpha) - 1.0 + self.mean() * alpha
+            return self.lst(alpha) - 1.0 + self.moment(1) * alpha
         return _series_from_square(0.5 * k * (k + 1) * u * u,
                                    lambda j: -(k + j) / (j + 1) * u)
 
@@ -282,15 +280,12 @@ class Pareto:
     def one_minus_lst(self, alpha: float) -> float:
         if alpha == 0.0:
             return 0.0
-        return self.mean() * alpha - self.excess_lst(alpha)
+        return self.moment(1) * alpha - self.excess_lst(alpha)
 
     def moment(self, n: int) -> float:
         if n >= self.delta:
             return math.inf
         return self.delta * self.xm**n / (self.delta - n)
-
-    def mean(self) -> float:
-        return self.delta * self.xm / (self.delta - 1.0)
 
     def excess_lst(self, alpha: float) -> float:
         """lst(alpha) - 1 + mean*alpha without subtractive cancellation.
@@ -305,11 +300,11 @@ class Pareto:
         if s0 == 0.0:
             return 0.0
         if s0 > _EXP_UNDERFLOW:
-            return self.mean() * alpha - 1.0
+            return self.moment(1) * alpha - 1.0
         if s0 <= 2.0:
             return self.delta * _gamma_series(-self.delta, s0, kmin=2)
         # lst is tiny and mean*alpha > 2 here, so the direct form is safe
-        return self.lst(alpha) - 1.0 + self.mean() * alpha
+        return self.lst(alpha) - 1.0 + self.moment(1) * alpha
 
     def lst_abs_tol(self) -> float:
         # gamma-form roundoff grows like 1/distance-to-pole until the
@@ -346,9 +341,6 @@ class Deterministic:
     def moment(self, n: int) -> float:
         return self.size**n
 
-    def mean(self) -> float:
-        return self.size
-
     def excess_lst(self, alpha: float) -> float:
         """exp(-x) - 1 + x at x = alpha*size; the exponential series from
         its x^2 term while |x| <= 1/2."""
@@ -377,7 +369,11 @@ JumpDist = Union[Exponential, Erlang, Pareto, Deterministic]
 
 @dataclass(frozen=True)
 class BrownianDrift:
-    """X_t = c*t + sigma*B_t with phi(alpha) = -c*alpha + sigma2*alpha^2/2."""
+    """X_t = c*t + sigma*B_t with phi(alpha) = -c*alpha + sigma2*alpha^2/2.
+
+    sigma2 = 0 leaves a pure drift: a drain at rate d without jumps is
+    BrownianDrift(-d, 0).
+    """
 
     c: float
     sigma2: float
@@ -388,26 +384,21 @@ class BrownianDrift:
     def phi(self, alpha: float) -> float:
         return alpha * (-self.c + 0.5 * self.sigma2 * alpha)
 
-    def phi_deriv(self, alpha: float) -> float:
-        return -self.c + self.sigma2 * alpha
-
     def phi_dn(self, alpha: float, n: int) -> float:
+        """The n-th derivative of phi, n >= 1."""
         if n == 1:
-            return self.phi_deriv(alpha)
+            return -self.c + self.sigma2 * alpha
         return self.sigma2 if n == 2 else 0.0
 
     def phi_over_alpha(self, alpha: float) -> float:
         return -self.c + 0.5 * self.sigma2 * alpha
 
     def cumulant(self, n: int) -> float:
+        """c_n = (-1)^n phi^(n)(0), n >= 0."""
+        _require(n >= 0, "cumulant order must be >= 0", n)
         if n == 1:
             return self.c
-        if n == 2:
-            return self.sigma2
-        return 0.0
-
-    def phi_over_alpha_limit(self) -> float:
-        return math.inf if self.sigma2 > 0 else -self.c
+        return self.sigma2 if n == 2 else 0.0
 
     def sigma2_total(self) -> float:
         return self.sigma2
@@ -424,39 +415,30 @@ class BrownianDrift:
 
 @dataclass(frozen=True)
 class CppMinusDrift:
-    """Compound Poisson jumps at rate gamma minus deterministic drain at rate d.
+    """Compound Poisson jumps at rate gamma > 0 minus a linear drain at rate d.
 
     phi(alpha) = d*alpha - gamma*(1 - beta(alpha)) with beta the jump size
-    transform. d = 0 (pure subordinator) is representable so the root finder
-    can reject it with a precise error; the CLI refuses it outright.
+    transform. A drain without jumps is BrownianDrift(-d, 0). d = 0 (pure
+    subordinator) is representable so the root finder can reject it with a
+    precise error; the CLI refuses it outright.
     """
 
     d: float
     gamma: float
-    jumps: Union[JumpDist, None] = None
+    jumps: JumpDist
 
     def __post_init__(self):
         _require(self.d >= 0, "drain rate d must be >= 0", self)
-        _require(self.gamma >= 0, "jump rate gamma must be >= 0", self)
-        if self.gamma > 0:
-            _require(self.jumps is not None, "gamma > 0 requires a jump distribution", self)
+        _require(self.gamma > 0, "jump rate gamma must be > 0 (a drain without "
+                 "jumps is BrownianDrift(-d, 0))", self)
+        _require(self.jumps is not None, "gamma > 0 requires a jump distribution", self)
 
     def phi(self, alpha: float) -> float:
-        if self.gamma == 0.0:
-            return self.d * alpha
         return self.d * alpha - self.gamma * self.jumps.one_minus_lst(alpha)
 
-    def phi_deriv(self, alpha: float) -> float:
-        if self.gamma == 0.0:
-            return self.d
-        return self.d + self.gamma * self.jumps.lst_deriv(alpha, 1)
-
     def phi_dn(self, alpha: float, n: int) -> float:
-        if n == 1:
-            return self.phi_deriv(alpha)
-        if self.gamma == 0.0:
-            return 0.0
-        return self.gamma * self.jumps.lst_deriv(alpha, n)
+        """The n-th derivative of phi, n >= 1."""
+        return (self.d if n == 1 else 0.0) + self.gamma * self.jumps.lst_deriv(alpha, n)
 
     def phi_over_alpha(self, alpha: float) -> float:
         """phi(alpha)/alpha without cancellation, finite at alpha = 0.
@@ -465,23 +447,17 @@ class CppMinusDrift:
         into (d - gamma*mean) + gamma*excess(alpha)/alpha, which stays
         accurate however small alpha gets.
         """
-        if self.gamma == 0.0:
-            return self.d
-        base = self.d - self.gamma * self.jumps.mean()
+        base = self.d - self.gamma * self.jumps.moment(1)
         if alpha == 0.0:
             return base
         return base + self.gamma * self.jumps.excess_lst(alpha) / alpha
 
     def cumulant(self, n: int) -> float:
-        if n == 1:
-            mean_jump = self.jumps.mean() if self.gamma > 0 else 0.0
-            return self.gamma * mean_jump - self.d
-        if self.gamma == 0.0:
+        """c_n = (-1)^n phi^(n)(0), n >= 0; +infinity when the jump moment diverges."""
+        _require(n >= 0, "cumulant order must be >= 0", n)
+        if n == 0:
             return 0.0
-        return self.gamma * self.jumps.moment(n)
-
-    def phi_over_alpha_limit(self) -> float:
-        return self.d
+        return self.gamma * self.jumps.moment(n) - (self.d if n == 1 else 0.0)
 
     def sigma2_total(self) -> float:
         return 0.0
@@ -490,12 +466,10 @@ class CppMinusDrift:
         return -self.d
 
     def jump_parts(self) -> tuple:
-        if self.gamma == 0.0:
-            return ()
         return ((self.gamma, self.jumps),)
 
     def min_alpha(self) -> float:
-        return self.jumps.min_alpha() if self.gamma > 0 else -math.inf
+        return self.jumps.min_alpha()
 
 
 @dataclass(frozen=True)
@@ -513,9 +487,6 @@ class Sum:
     def phi(self, alpha: float) -> float:
         return sum(p.phi(alpha) for p in self.parts)
 
-    def phi_deriv(self, alpha: float) -> float:
-        return sum(p.phi_deriv(alpha) for p in self.parts)
-
     def phi_dn(self, alpha: float, n: int) -> float:
         return sum(p.phi_dn(alpha, n) for p in self.parts)
 
@@ -524,9 +495,6 @@ class Sum:
 
     def cumulant(self, n: int) -> float:
         return sum(p.cumulant(n) for p in self.parts)
-
-    def phi_over_alpha_limit(self) -> float:
-        return sum(p.phi_over_alpha_limit() for p in self.parts)
 
     def sigma2_total(self) -> float:
         return sum(p.sigma2_total() for p in self.parts)
@@ -547,58 +515,32 @@ class Sum:
 LevyModel = Union[BrownianDrift, CppMinusDrift, Sum]
 
 
-def cumulant(model: LevyModel, n: int) -> float:
-    """c_n = (-1)^n phi^(n)(0); +infinity when the jump moment diverges."""
-    if n < 0:
-        raise ModelError("cumulant order must be >= 0")
-    if n == 0:
-        return 0.0
-    return model.cumulant(n)
-
-
 # ---------------------------------------------------------------------------
 # collapse multiplier laws
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Uniform01:
-    """Uniform(0, 1) collapse multipliers."""
-
-    @property
-    def theta(self) -> float:
-        return 1.0
-
-    def moment(self, n: int) -> float:
-        return 1.0 / (1.0 + n)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.random(size)
-
-
-@dataclass(frozen=True)
 class Beta1:
     """Beta(theta, 1) collapse multipliers: CDF u^theta on (0, 1)."""
 
-    theta_: float
+    theta: float
 
     def __post_init__(self):
-        _require(self.theta_ > 0, "Beta(theta, 1) needs theta > 0", self)
-
-    @property
-    def theta(self) -> float:
-        return self.theta_
+        _require(self.theta > 0, "Beta(theta, 1) needs theta > 0", self)
 
     def moment(self, n: int) -> float:
-        return self.theta_ / (self.theta_ + n)
+        return self.theta / (self.theta + n)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.random(size) ** (1.0 / self.theta_)
+        return rng.random(size) ** (1.0 / self.theta)
 
 
-CollapseLaw = Union[Uniform01, Beta1]
+@dataclass(frozen=True)
+class Uniform01(Beta1):
+    """Uniform(0, 1) collapse multipliers: Beta(1, 1), theta fixed at 1."""
+
+    theta: float = field(default=1.0, init=False)
 
 
-def collapse_from_theta(theta: float) -> CollapseLaw:
-    return Uniform01() if theta == 1.0 else Beta1(theta)
-
+CollapseLaw = Beta1

@@ -22,13 +22,13 @@ from . import simulate, stationary
 from .config import RunConfig
 from .errors import ValidationError
 from .models import (
+    Beta1,
     BrownianDrift,
     CppMinusDrift,
     Exponential,
     Pareto,
     Sum,
     Uniform01,
-    collapse_from_theta,
 )
 
 _CANON_BM = BrownianDrift(0.0, 2.0)
@@ -209,12 +209,12 @@ def _suite_analytic(cfg) -> list:
     rows = []
     sol = stationary.stationary_solution(_CANON_BM, 1.0, 1.0)
     four_pi = 4.0 / math.pi
-    rows.append(_row("bm.alpha_lambda", 1.0, sol.alpha_lambda, cfg.tol("root", 1e-12)))
-    rows.append(_row("bm.b", four_pi, sol.b, cfg.tol("b", 1e-8)))
-    rows.append(_row("bm.f1", 4.0 / (3.0 * math.pi), sol.lst(1.0), cfg.tol("f", 1e-7)))
+    rows.append(_row("bm.alpha_lambda", 1.0, sol.alpha_lambda, cfg.tol("root")))
+    rows.append(_row("bm.b", four_pi, sol.b, cfg.tol("b")))
+    rows.append(_row("bm.f1", 4.0 / (3.0 * math.pi), sol.lst(1.0), cfg.tol("f")))
     m = sol.moments(2)
-    rows.append(_row("bm.m1", four_pi, m[1], cfg.tol("moment", 1e-8)))
-    rows.append(_row("bm.m2", 3.0, m[2], cfg.tol("moment", 1e-8)))
+    rows.append(_row("bm.m1", four_pi, m[1], cfg.tol("moment")))
+    rows.append(_row("bm.m2", 3.0, m[2], cfg.tol("moment")))
     rows.append(_row("bm.f0", 1.0, sol.lst(0.0), 1e-9))
     rows.append(_row("bm.atom", 0.0, sol.atom, 0.0))
     solm = stationary.stationary_solution(_CANON_MM1, 1.0, 1.0)
@@ -229,7 +229,7 @@ def _suite_analytic(cfg) -> list:
 
 def _suite_closed_form(kind: str, cfg) -> list:
     rows = []
-    tol = cfg.tol("dual_route", 1e-8)
+    tol = cfg.tol("dual_route")
     if kind == "bm":
         sets, closed = _BM_SETS, stationary.bm_closed_form_lst
         make = lambda p: BrownianDrift(p[0], p[1])
@@ -250,7 +250,7 @@ def _suite_closed_form(kind: str, cfg) -> list:
 
 def _suite_fixed_point(cfg) -> list:
     rows = []
-    tol = cfg.tol("fixed_point", 1e-7)
+    tol = cfg.tol("fixed_point")
     for name, model, lam, theta in (("bm", _CANON_BM, 1.0, 1.0),
                                     ("mm1", _CANON_MM1, 1.0, 1.0),
                                     ("mix", _CANON_MIX, 1.2, 1.0)):
@@ -314,14 +314,13 @@ def _suite_routes(cfg) -> list:
 def _suite_coupling(cfg) -> list:
     rows = []
     seed = cfg.seed()
-    cases = (("mm1", _CANON_MM1, 1.0, 1.0),
-             ("mm1b", CppMinusDrift(2.0, 1.5, Exponential(1.0)), 0.8, 2.0),
-             ("mix", _CANON_MIX, 1.2, 1.0))
-    tol = cfg.tol("coupling", 1e-9)
-    for i, (name, model, lam, theta) in enumerate(cases):
+    cases = (("mm1", _CANON_MM1, 1.0, Uniform01()),
+             ("mm1b", CppMinusDrift(2.0, 1.5, Exponential(1.0)), 0.8, Beta1(2.0)),
+             ("mix", _CANON_MIX, 1.2, Uniform01()))
+    tol = cfg.tol("coupling")
+    for i, (name, model, lam, collapse) in enumerate(cases):
         kw = {"step_h": 1e-3} if model.sigma2_total() > 0 else {}
-        viol, mn = simulate.coupling_check(model, lam, collapse_from_theta(theta),
-                                           1.0, 6.0, 1000,
+        viol, mn = simulate.coupling_check(model, lam, collapse, 1.0, 6.0, 1000,
                                            simulate.replication_rng(seed, 121 + i),
                                            **kw)
         rows.append(_row(f"coupling.violation.{name}", 0.0, viol, tol))

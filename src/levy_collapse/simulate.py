@@ -979,7 +979,7 @@ def sample_unit_increment(model: LevyModel, rng: np.random.Generator,
         return out
     if isinstance(model, BrownianDrift):
         return rng.normal(model.c, math.sqrt(model.sigma2), size)
-    counts = rng.poisson(model.gamma, size) if model.gamma > 0 else np.zeros(size, int)
+    counts = rng.poisson(model.gamma, size)
     out = np.full(size, -model.d, dtype=float)
     total = int(counts.sum())
     if total:

@@ -105,7 +105,7 @@ def find_alpha_lambda(model: LevyModel, lam: float) -> float:
             lo = x
         if abs(fx) <= ftol or hi - lo <= 4e-16 * hi:
             break
-        dfx = model.phi_deriv(x)
+        dfx = model.phi_dn(x, 1)
         xn = x - fx / dfx if dfx > 0 else math.nan
         if not (math.isfinite(xn) and lo < xn < hi):
             xn = 0.5 * (lo + hi)
@@ -129,7 +129,7 @@ def w_tau_lst(model: LevyModel, lam: float, alpha: float) -> float:
         raise DomainError("alpha must be finite and >= 0")
     root = _alpha_root(model, lam)
     if abs(alpha - root) <= _AT_ROOT_RTOL * root:
-        return lam / (root * model.phi_deriv(root))
+        return lam / (root * model.phi_dn(root, 1))
     return (1.0 - alpha / root) / (1.0 - model.phi(alpha) / lam)
 
 
@@ -146,7 +146,7 @@ def wx_joint_lst(model: LevyModel, lam: float, x: float, alpha: float,
         raise DomainError("x, alpha and beta must be finite and >= 0")
     root = _alpha_root(model, lam)
     if abs(alpha - root) <= _AT_ROOT_RTOL * root:
-        return (x + 1.0 / (root + beta)) * lam * math.exp(-root * x) / model.phi_deriv(root)
+        return (x + 1.0 / (root + beta)) * lam * math.exp(-root * x) / model.phi_dn(root, 1)
     num = math.exp(-alpha * x) - (alpha + beta) / (root + beta) * math.exp(-root * x)
     return num / (1.0 - model.phi(alpha) / lam)
 
@@ -325,12 +325,15 @@ class StationarySolution:
         self.theta = float(theta)
         self.alpha_lambda = find_alpha_lambda(model, lam)
         A = self.alpha_lambda
-        p = model.phi_deriv(A)
+        p = model.phi_dn(A, 1)
         if not p > 0:
             raise self._failure("phi'(alpha_lambda) must be positive")
         self.phi_prime_root = p
         self.K = lam / (A * p)
         self._tK = self.theta * self.K
+        # lim phi(alpha)/alpha at infinity, read by the outer remainder's end
+        # value and the atom: the drain rate, or inf with a Brownian part
+        self._d_eff = math.inf if model.sigma2_total() > 0 else -model.drift_rate()
 
         # expansion of the remainders around the root: with lam - phi(A-u) =
         # p*u*(1 - x(u)), 1/(1-x) follows from a convolution recurrence and
@@ -405,7 +408,7 @@ class StationarySolution:
         self._gA = gA
         self.b = 1.0 / gA
 
-        d_eff = model.phi_over_alpha_limit()
+        d_eff = self._d_eff
         self.atom = 0.0 if math.isinf(d_eff) else lam * self.b / ((1.0 + theta) * d_eff)
 
     def _failure(self, what: str) -> QuadratureFailure:
@@ -460,8 +463,7 @@ class StationarySolution:
         stays bounded up to v = 1 and serves every alpha beyond the band."""
         m, lam, A, K = self.model, self.lam, self.alpha_lambda, self.K
         if v >= 1.0:
-            d_eff = m.phi_over_alpha_limit()
-            lim = 0.0 if math.isinf(d_eff) else lam / d_eff
+            lim = 0.0 if math.isinf(self._d_eff) else lam / self._d_eff
             return (lim - K * A) / A
         y = A / (1.0 - v)
         rho = lam / (y * (m.phi(y) - lam)) - K * A / (y * (y - A))
@@ -987,7 +989,7 @@ def small_alpha_expansion_check(model: LevyModel, lam: float,
                          + _naming(model, lam))
     sol = stationary_solution(model, lam, 1.0)
     delta = model.jumps.delta
-    mean_z = sol.b - 2.0 * (model.d - model.gamma * model.jumps.mean()) / lam
+    mean_z = sol.b - 2.0 * (model.d - model.gamma * model.jumps.moment(1)) / lam
     out = []
     for a in alphas:
         if a <= 0:

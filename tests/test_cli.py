@@ -83,7 +83,9 @@ def test_parse_canonical_config_and_defaults():
     assert cfg.z0 == 0.0
     assert cfg.suite == "all"
     assert cfg.out_dir == "out"
-    assert cfg.tol("anything", 0.25) == 0.25
+    assert [cfg.tol(name) for name in ("root", "b", "f", "moment", "dual_route",
+                                       "fixed_point", "coupling")] == \
+        [1e-12, 1e-8, 1e-7, 1e-8, 1e-8, 1e-7, 1e-9]
 
 
 def test_parse_compound_sum_and_beta_collapse():
@@ -119,9 +121,9 @@ def test_parse_jump_families():
 def test_parse_comments_blanks_and_tol_overrides():
     text = BM_TEXT + "\n# trailing comment\n\ntol.moment = 1e-6\ntol.b = 2e-9\n"
     cfg = parse_config(text)
-    assert cfg.tol("moment", 1e-8) == 1e-6
-    assert cfg.tol("b", 1e-8) == 2e-9
-    assert cfg.tol("root", 1e-12) == 1e-12
+    assert cfg.tol("moment") == 1e-6
+    assert cfg.tol("b") == 2e-9
+    assert cfg.tol("root") == 1e-12
 
 
 def test_parse_error_carries_line_numbers():
@@ -139,6 +141,14 @@ def test_parse_error_carries_line_numbers():
                        (10, mm1 + "tol.b = nan\n")):
         with pytest.raises(ParseError, match=f"^line {line}: .* needs a finite number$"):
             parse_config(text)
+
+
+def test_tolerance_keys_refuse_unknown_names_and_negative_values():
+    with pytest.raises(ValidationError, match="unknown key 'tol.fixedpoint'"):
+        parse_config(BM_TEXT + "tol.fixedpoint = 1e-3\n")
+    with pytest.raises(ValidationError, match="tol.b must be >= 0"):
+        parse_config(BM_TEXT + "tol.b = -1\n")
+    assert parse_config(BM_TEXT + "tol.root = 0\n").tol("root") == 0.0
 
 
 def test_validation_errors_name_the_key():
@@ -412,8 +422,9 @@ def test_cli_validate_pass_and_fail(tmp_path, capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert lines and all(l.startswith("PASS") for l in lines)
 
-    # b of this case is 4/pi to the last bit, so no tolerance >= 0 fails it
-    path = write_cfg(tmp_path, base + "tol.moment = 1e-30\ntol.b = -1\n"
+    # b of this case is 4/pi to the last bit, but its root is one rounding
+    # off 1, so a zero root tolerance fails that row
+    path = write_cfg(tmp_path, base + "tol.moment = 1e-30\ntol.root = 0\n"
                      + f"out = {tmp_path / 'bad'}\n", name="bad.cfg")
     assert main(["validate", "--config", path]) == 1
     got = capsys.readouterr()
@@ -421,7 +432,7 @@ def test_cli_validate_pass_and_fail(tmp_path, capsys):
     assert got.err.startswith("error: ValidationError:") and "failed" in got.err
     _, rows = read_csv(tmp_path / "bad" / "validate.csv")
     flags = {r[0]: r[4] for r in rows}
-    assert flags["bm.b"] == "0" and flags["bm.m1"] == "0"
+    assert flags["bm.alpha_lambda"] == "0" and flags["bm.m1"] == "0"
     assert flags["bm.f0"] == "1"
 
 

@@ -470,8 +470,8 @@ def test_path_fold_draws_what_the_loop_draws(model, collapse, n):
     (MM1, 1.0, 3000.0, 2.5),
     (SUM2, 0.7, 500.0, 0.0),
     (BUSY, 0.0, 40.0, 4.0),                    # no collapses: lam = 0
-    (CppMinusDrift(1.0, 0.0), 1.3, 200.0, 1.0),  # no jumps
-    (CppMinusDrift(1.0, 0.0), 0.0, 2.0, 1.0),    # no events at all
+    (BrownianDrift(-1.0, 0.0), 1.3, 200.0, 1.0),  # no jumps
+    (BrownianDrift(-1.0, 0.0), 0.0, 2.0, 1.0),    # no events at all
     (MM1, 1.0, 0.0, 1.0),
 ])
 def test_path_fold_horizon_mode(model, lam, horizon, z0):

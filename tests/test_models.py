@@ -16,7 +16,6 @@ from levy_collapse import (
     Pareto,
     Sum,
     Uniform01,
-    cumulant,
     sample_unit_increment,
 )
 from levy_collapse import models
@@ -38,7 +37,7 @@ CATALOG = (
 
 
 # ---------------------------------------------------------------------------
-# phi / phi_deriv
+# phi / phi_dn
 # ---------------------------------------------------------------------------
 
 
@@ -54,10 +53,10 @@ def test_exponent_matches_hand_values():
 
 
 def test_exponent_derivative_matches_hand_values():
-    assert BM.phi_deriv(1.0) == pytest.approx(2.0, abs=1e-14)
-    assert BrownianDrift(0.8, 1.0).phi_deriv(0.0) == pytest.approx(
+    assert BM.phi_dn(1.0, 1) == pytest.approx(2.0, abs=1e-14)
+    assert BrownianDrift(0.8, 1.0).phi_dn(0.0, 1) == pytest.approx(
         -0.8, abs=1e-15)
-    assert MM1.phi_deriv(0.0) == pytest.approx(0.5, abs=1e-14)
+    assert MM1.phi_dn(0.0, 1) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_exponent_derivative_agrees_with_differences():
@@ -66,7 +65,7 @@ def test_exponent_derivative_agrees_with_differences():
         for alpha in (0.3, 1.0, 2.4):
             fd = (model.phi(alpha + h)
                   - model.phi(alpha - h)) / (2.0 * h)
-            assert model.phi_deriv(alpha) == pytest.approx(
+            assert model.phi_dn(alpha, 1) == pytest.approx(
                 fd, rel=1e-7, abs=1e-7)
 
 
@@ -108,23 +107,30 @@ def test_exponent_matches_simulated_increments():
 
 
 def test_cumulants_of_brownian_input():
-    assert cumulant(BM, 2) == 2.0
-    assert cumulant(BM, 3) == 0.0
-    assert cumulant(BrownianDrift(0.4, 2.0), 1) == 0.4
+    assert BM.cumulant(2) == 2.0
+    assert BM.cumulant(3) == 0.0
+    assert BrownianDrift(0.4, 2.0).cumulant(1) == 0.4
 
 
 def test_cumulants_of_compound_input():
     # c1 = gamma*EB - d; c_n = gamma*E B^n for n >= 2
-    assert cumulant(MM1, 1) == pytest.approx(-0.5, abs=1e-14)
-    assert cumulant(MM1, 2) == pytest.approx(0.5, abs=1e-14)
-    assert cumulant(MM1, 3) == pytest.approx(6.0 / 8.0, abs=1e-14)
+    assert MM1.cumulant(1) == pytest.approx(-0.5, abs=1e-14)
+    assert MM1.cumulant(2) == pytest.approx(0.5, abs=1e-14)
+    assert MM1.cumulant(3) == pytest.approx(6.0 / 8.0, abs=1e-14)
 
 
 def test_heavy_tail_cumulants_are_infinite():
     par = CppMinusDrift(1.0, 0.8, Pareto(1.5, 1.0 / 3.0))
-    assert math.isfinite(cumulant(par, 1))
-    assert cumulant(par, 2) == math.inf
-    assert cumulant(par, 3) == math.inf
+    assert math.isfinite(par.cumulant(1))
+    assert par.cumulant(2) == math.inf
+    assert par.cumulant(3) == math.inf
+
+
+def test_cumulant_orders_start_at_zero():
+    for model in CATALOG:
+        assert model.cumulant(0) == 0.0
+        with pytest.raises(ModelError, match="cumulant order"):
+            model.cumulant(-1)
 
 
 def test_cumulants_match_differenced_exponent():
@@ -139,7 +145,7 @@ def test_cumulants_match_differenced_exponent():
 
     for model in (BM, MM1, CppMinusDrift(1.3, 0.9, Erlang(2, 3.0)), MIX):
         for n in (1, 2, 3):
-            c = cumulant(model, n)
+            c = model.cumulant(n)
             a, b = fd(model, n, 1e-3), fd(model, n, 5e-4)
             rich = (4.0 * b - a) / 3.0
             est = (-1.0) ** n * rich
@@ -176,10 +182,10 @@ def test_jump_transform_bounds_and_decay():
 
 
 def test_jump_means():
-    assert Exponential(2.0).mean() == 0.5
-    assert Erlang(2, 3.0).mean() == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert Pareto(1.5, 1.0 / 3.0).mean() == pytest.approx(1.0, abs=1e-15)
-    assert Deterministic(1.2).mean() == 1.2
+    assert Exponential(2.0).moment(1) == 0.5
+    assert Erlang(2, 3.0).moment(1) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert Pareto(1.5, 1.0 / 3.0).moment(1) == pytest.approx(1.0, abs=1e-15)
+    assert Deterministic(1.2).moment(1) == 1.2
 
 
 def test_jump_samples_match_mean_and_transform():
@@ -188,7 +194,7 @@ def test_jump_samples_match_mean_and_transform():
                   Pareto(2.5, 0.5)):
         x = jumps.sample(rng, 200_000)
         se = x.std(ddof=1) / math.sqrt(x.size)
-        assert abs(x.mean() - jumps.mean()) <= 4.0 * se + 1e-12
+        assert abs(x.mean() - jumps.moment(1)) <= 4.0 * se + 1e-12
         e = np.exp(-0.7 * x)
         se = e.std(ddof=1) / math.sqrt(e.size)
         assert abs(e.mean() - jumps.lst(0.7)) <= 4.0 * se + 1e-12
@@ -279,7 +285,7 @@ def test_pareto_transform_at_an_alpha_whose_scale_product_underflows():
         jumps = Pareto(delta, 0.5)
         assert jumps.lst(5e-324) == 1.0
         assert jumps.excess_lst(5e-324) == 0.0
-        assert jumps.lst_deriv(5e-324, 1) == -jumps.mean()
+        assert jumps.lst_deriv(5e-324, 1) == -jumps.moment(1)
         with pytest.raises(ModelError):
             jumps.lst_deriv(5e-324, 2)
 
@@ -293,7 +299,9 @@ INVALID = {
     "BrownianDrift(c=0.0, sigma2=-1.0)": lambda: BrownianDrift(0.0, -1.0),
     "CppMinusDrift(d=1.0, gamma=1.0, jumps=None)": lambda: CppMinusDrift(1.0, 1.0, None),
     "Sum(parts=())": lambda: Sum(()),
-    "Beta1(theta_=0.0)": lambda: Beta1(0.0),
+    "CppMinusDrift(d=1.0, gamma=0.0, jumps=Exponential(mu=2.0))":
+        lambda: CppMinusDrift(1.0, 0.0, Exponential(2.0)),
+    "Beta1(theta=0.0)": lambda: Beta1(0.0),
 }
 
 

@@ -315,7 +315,7 @@ def test_path_engine_pure_drift_is_exact():
     # drain at rate 1 from z0 = 1 with no jumps and no collapses: the level
     # hits zero at t = 1, the regulator then grows at the drain rate, and
     # the occupied area is the triangle 1/2
-    model = CppMinusDrift(1.0, 0.0)
+    model = BrownianDrift(-1.0, 0.0)
     pool, state = path_simulate(model, 0.0, UNI, horizon=2.0,
                                 rng=replication_rng(1, 0), z0=1.0,
                                 return_final=True)

@@ -51,7 +51,6 @@ from .stationary import (
     wx_joint_lst,
 )
 from .simulate import (
-    ChainState,
     PathState,
     SamplePool,
     TailRow,
@@ -62,14 +61,12 @@ from .simulate import (
     has_exact_wl,
     ks_critical,
     ks_statistic,
-    lindley_step,
     loynes_run,
     path_simulate,
     replication_rng,
     sample_unit_increment,
     sample_wl_bm,
     sample_wl_mm1,
-    tail_experiment,
     tail_table,
 )
 from .config import RunConfig, parse_config

@@ -180,9 +180,9 @@ def run_tail(cfg: RunConfig) -> List[str]:
     if not cfg.thresholds:
         raise ValidationError("thresholds must be non-empty for tail")
     delta, xm = model.jumps.delta, model.jumps.xm
+    target = stationary.tail_constant(model.gamma, cfg.lam, delta)  # before any draw
     pools = _run_pools(replace(cfg, engine="path", collapse=Uniform01()))
     rows = simulate.tail_table(functools.reduce(simulate.SamplePool.merge, pools), delta, xm)
-    target = stationary.tail_constant(model.gamma, cfg.lam, delta)
     return [write_csv(os.path.join(cfg.out_dir, "tail.csv"),
                       ("threshold", "exceedances", "samples", "ratio", "lo", "hi",
                        "target"),
@@ -334,13 +334,12 @@ def _suite_tail(cfg) -> list:
     else:
         model, lam = CppMinusDrift(1.0, 0.8, Pareto(1.5, 1.0 / 3.0)), 1.0
     thresholds = cfg.thresholds or (10.0, 20.0)
-    rows_t = simulate.tail_experiment(model.gamma, model.d, lam,
-                                      model.jumps.delta, model.jumps.xm,
-                                      cfg.n_samples, thresholds,
-                                      simulate.replication_rng(cfg.seed(), 131))
     target = stationary.tail_constant(model.gamma, lam, model.jumps.delta)
+    pool = simulate.path_simulate(model, lam, Uniform01(), n_collapses=cfg.n_samples,
+                                  rng=simulate.replication_rng(cfg.seed(), 131),
+                                  thresholds=thresholds)
     out = []
-    for r in rows_t:
+    for r in simulate.tail_table(pool, model.jumps.delta, model.jumps.xm):
         # widened tolerance: the 30% regular-variation band plus the CI halfwidth
         tol = 0.3 * target + 0.5 * (r.hi - r.lo)
         out.append(_row(f"tail.ratio@{_fmt(r.threshold)}", target, r.ratio, tol))

@@ -29,9 +29,7 @@ from .models import (
     CppMinusDrift,
     Exponential,
     LevyModel,
-    Pareto,
     Sum,
-    Uniform01,
 )
 from .stationary import bm_roots, mm1_roots
 
@@ -51,23 +49,6 @@ def replication_rng(master_seed: int, replicate: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """Pre-collapse level together with the running multiplier product."""
-
-    zeta: float
-    n: int = 0
-    pi_n: float = 1.0
-
-    def __post_init__(self):
-        if self.zeta < 0:
-            raise DomainError("chain level must be >= 0")
-        if not 0.0 <= self.pi_n <= 1.0:
-            raise DomainError("multiplier product must lie in [0, 1]")
-        if self.n < 0:
-            raise DomainError("step counter must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -276,19 +257,10 @@ def empirical_lst(pool: SamplePool, alphas) -> List[Tuple[float, float]]:
 # ---------------------------------------------------------------------------
 
 
-def lindley_step(state: ChainState, v: float, u: float, y: float) -> ChainState:
-    """One collapse cycle: new level v + (zeta*u - y)^+, product times u."""
-    if v < 0 or y < 0:
-        raise DomainError("v and y must be >= 0")
-    if not 0.0 <= u <= 1.0:
-        raise DomainError("collapse multiplier must lie in [0, 1]")
-    hold = state.zeta * u - y
-    return ChainState(v + (hold if hold > 0.0 else 0.0), state.n + 1, state.pi_n * u)
-
-
 def explicit_solution(v: Sequence[float], u: Sequence[float],
                       y: Sequence[float]) -> float:
-    """Closed-form value of the recursion after len(u) steps from z0 = v[0].
+    """Closed-form value of the recursion z -> v + (z u - y)^+ after len(u)
+    steps from z0 = v[0]; one step from z is explicit_solution([z, v], [u], [y]).
 
     Backward accumulation: the final level is v[-1] plus the largest of
     the partial sums sum_{j>=k} P_{j+1} (u_j v_j - y_j), where P_{j+1}
@@ -923,23 +895,6 @@ def tail_table(pool: SamplePool, delta: float, xm: float) -> List[TailRow]:
         rows.append(TailRow(t, int(k), pool.count, (k / pool.count) / denom,
                             lo / denom, hi / denom))
     return rows
-
-
-def tail_experiment(gamma: float, d: float, lam: float, delta: float, xm: float,
-                    n_samples: int, thresholds: Sequence[float],
-                    rng: np.random.Generator) -> List[TailRow]:
-    """Exceedance ratios P(Z > t) / P(B > t) for Pareto jumps, 1 < delta < 2.
-
-    Uses the exact path engine with uniform multipliers and reports
-    Wilson 95% intervals scaled by the exact jump tail; for large t the
-    ratio flattens toward `tail_constant`.
-    """
-    if not 1.0 < delta < 2.0:
-        raise DomainError("tail index delta must lie in (1, 2)")
-    model = CppMinusDrift(d, gamma, Pareto(delta, xm))
-    pool = path_simulate(model, lam, Uniform01(), n_collapses=int(n_samples),
-                         rng=rng, thresholds=tuple(thresholds))
-    return tail_table(pool, delta, xm)
 
 
 def ks_statistic(a, b) -> float:

@@ -783,18 +783,17 @@ class StationarySolution:
         raise self._failure(what)
 
     def moments(self, n_max: int) -> list:
-        """Stationary moments m_0..m_n from the cumulant recursion: m_1
-        balances drift against collapse loss, higher orders recurse through
-        binomial sums and are +infinity where a jump moment is."""
+        """Stationary moments m_0..m_n. m_1 = b + (theta + 1) c_1 / lam comes
+        from the root identity E f(root U) = b root / (theta + 1); higher
+        orders recurse through binomial sums of the cumulants and are
+        +infinity where a jump moment is."""
         if n_max < 0:
             raise DomainError("moment order must be >= 0")
         m_list = [1.0]
         if n_max == 0:
             return m_list
-        lam, th, A = self.lam, self.theta, self.alpha_lambda
-        c1 = self.model.cumulant(1)
-        m1 = (th + 1.0) * (c1 / lam + self.mean_lst_collapsed(A) / A)
-        m_list.append(m1)
+        lam, th = self.lam, self.theta
+        m_list.append(self.b + (th + 1.0) * self.model.cumulant(1) / lam)
         for n in range(2, n_max + 1):
             terms = [math.comb(n, k) * m_list[k] * self.model.cumulant(n - k)
                      for k in range(n) if m_list[k] != 0.0]
@@ -982,14 +981,14 @@ def small_alpha_expansion_check(model: LevyModel, lam: float,
                                 alphas: Sequence[float]) -> list:
     """[f(alpha) - 1 + E[Z*] alpha] / alpha^delta on a small-alpha grid: for
     Pareto jumps the ratios flatten toward tail_constant(gamma, lam, delta)
-    * (-Gamma(1-delta)) * xm^delta. E[Z*] comes from the transform-side
-    identity b - 2 (d - gamma E B)/lam, not the moment recursion."""
+    * (-Gamma(1-delta)) * xm^delta. E[Z*] is `moments`' m_1, the root
+    identity b + 2 c_1 / lam at theta = 1."""
     if not isinstance(model, CppMinusDrift) or not isinstance(model.jumps, Pareto):
         raise ModelError("expansion check requires drift-drained Pareto jumps"
                          + _naming(model, lam))
     sol = stationary_solution(model, lam, 1.0)
     delta = model.jumps.delta
-    mean_z = sol.b - 2.0 * (model.d - model.gamma * model.jumps.moment(1)) / lam
+    mean_z = sol.moments(1)[1]
     out = []
     for a in alphas:
         if a <= 0:

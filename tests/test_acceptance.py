@@ -35,7 +35,7 @@ from levy_collapse import (
     replication_rng,
     small_alpha_expansion_check,
     stationary_solution,
-    tail_experiment,
+    tail_table,
 )
 
 BM = BrownianDrift(0.0, 2.0)
@@ -220,24 +220,27 @@ def test_criterion_09_euler_discretization(acceptance):
 
 def test_criterion_10_heavy_tail(acceptance):
     xm = 1.0 / 3.0
-    rows = tail_experiment(0.8, 1.0, 1.0, 1.5, xm, 10_000_000, (10.0,),
-                           replication_rng(SEED, 7))
-    ratio = rows[0].ratio
+    model = CppMinusDrift(1.0, 0.8, Pareto(1.5, xm))
+    pool = path_simulate(model, 1.0, UNI, n_collapses=10_000_000,
+                         rng=replication_rng(SEED, 7), thresholds=(10.0,))
+    ratio = tail_table(pool, 1.5, xm)[0].ratio
     target = 4.0 / 3.0
-    ratios = small_alpha_expansion_check(
-        CppMinusDrift(1.0, 0.8, Pareto(1.5, xm)), 1.0, (1e-3, 1e-4))
+    ratios = small_alpha_expansion_check(model, 1.0, (1e-3, 1e-4))
     flat = abs(ratios[1] - ratios[0]) / abs(ratios[1])
-    sol = stationary_solution(CppMinusDrift(1.0, 0.8, Pareto(1.5, xm)), 1.0, 1.0)
-    mean_from_b = sol.b - 2.0 * (1.0 - 0.8 * 1.0) / 1.0
+    sol = stationary_solution(model, 1.0, 1.0)
+    # m1 comes from the root identity; the collapse ladder's E f(root U)
+    # gives it a second way
+    A = sol.alpha_lambda
+    m1_ladder = 2.0 * (model.cumulant(1) / 1.0 + sol.mean_lst_collapsed(A) / A)
     m1 = sol.moments(1)[1]
     ok = (abs(ratio - target) <= 0.30 * target and flat <= 0.10
-          and abs(mean_from_b - m1) <= 1e-6)
+          and abs(m1_ladder - m1) <= 1e-6)
     acceptance("10 heavy-tail ratio, expansion flatness and mean identity", ok,
                f"ratio {ratio:.3f} vs 4/3, flatness {flat:.3f}, "
-               f"mean gap {abs(mean_from_b - m1):.1e}")
+               f"mean gap {abs(m1_ladder - m1):.1e}")
     assert abs(ratio - target) <= 0.30 * target
     assert flat <= 0.10
-    assert abs(mean_from_b - m1) <= 1e-6
+    assert abs(m1_ladder - m1) <= 1e-6
 
 
 def test_criterion_11_explicit_solution(acceptance):

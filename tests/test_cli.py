@@ -12,6 +12,7 @@ from levy_collapse import (
     Beta1,
     BrownianDrift,
     CppMinusDrift,
+    DomainError,
     Erlang,
     Exponential,
     ParseError,
@@ -422,8 +423,9 @@ def test_cli_validate_pass_and_fail(tmp_path, capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert lines and all(l.startswith("PASS") for l in lines)
 
-    # b of this case is 4/pi to the last bit, but its root is one rounding
-    # off 1, so a zero root tolerance fails that row
+    # b and m1 of this case are 4/pi to the last bit, so even a 1e-30 moment
+    # tolerance passes the m1 row, but its root is one rounding off 1, so a
+    # zero root tolerance fails that row
     path = write_cfg(tmp_path, base + "tol.moment = 1e-30\ntol.root = 0\n"
                      + f"out = {tmp_path / 'bad'}\n", name="bad.cfg")
     assert main(["validate", "--config", path]) == 1
@@ -432,7 +434,7 @@ def test_cli_validate_pass_and_fail(tmp_path, capsys):
     assert got.err.startswith("error: ValidationError:") and "failed" in got.err
     _, rows = read_csv(tmp_path / "bad" / "validate.csv")
     flags = {r[0]: r[4] for r in rows}
-    assert flags["bm.alpha_lambda"] == "0" and flags["bm.m1"] == "0"
+    assert flags["bm.alpha_lambda"] == "0" and flags["bm.m1"] == "1"
     assert flags["bm.f0"] == "1"
 
 
@@ -481,6 +483,18 @@ def test_tail_requires_pareto_model(tmp_path):
     cfg = parse_config(MM1_TEXT + f"thresholds = 2 5\nout = {tmp_path}\n")
     with pytest.raises(ValidationError, match="pareto"):
         run_tail(cfg)
+
+
+def test_tail_refuses_an_index_outside_one_two_before_it_simulates(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(simulate, "path_simulate", lambda *a, **k: calls.append(a))
+    text = MM1_TEXT.replace("model.jumps = exp\nmodel.mu = 2\n",
+                            "model.jumps = pareto\nmodel.delta = 2.5\nmodel.xm = 0.5\n")
+    cfg = parse_config(text + f"thresholds = 2 5\nsuite = tail\nout = {tmp_path}\n")
+    for run in (runner.run_tail, runner.run_validate):
+        with pytest.raises(DomainError, match=r"delta must lie in \(1, 2\)"):
+            run(cfg)
+    assert calls == []
 
 
 def test_formatter_round_trips_doubles():

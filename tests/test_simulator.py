@@ -18,7 +18,6 @@ import pytest
 import levy_collapse
 from levy_collapse import (
     BrownianDrift,
-    ChainState,
     ConfigError,
     CppMinusDrift,
     DomainError,
@@ -35,7 +34,6 @@ from levy_collapse import (
     has_exact_wl,
     ks_critical,
     ks_statistic,
-    lindley_step,
     loynes_run,
     mm1_roots,
     path_simulate,
@@ -59,31 +57,6 @@ UNI = Uniform01()
 # ---------------------------------------------------------------------------
 
 
-def test_recursion_step_hand_values():
-    s = lindley_step(ChainState(2.0), 1.0, 0.5, 0.3)
-    assert (s.zeta, s.n, s.pi_n) == (1.7, 1, 0.5)
-    s = lindley_step(ChainState(1.0), 0.4, 0.2, 3.0)  # clamped at zero
-    assert (s.zeta, s.n, s.pi_n) == (0.4, 1, 0.2)
-    s = lindley_step(ChainState(9.0, 4, 0.25), 0.8, 0.0, 0.1)
-    assert (s.zeta, s.n, s.pi_n) == (0.8, 5, 0.0)
-
-
-def test_recursion_step_validation():
-    with pytest.raises(DomainError):
-        lindley_step(ChainState(1.0), -0.1, 0.5, 0.0)
-    with pytest.raises(DomainError):
-        lindley_step(ChainState(1.0), 0.1, 0.5, -1.0)
-    for u in (-0.2, 1.2):
-        with pytest.raises(DomainError):
-            lindley_step(ChainState(1.0), 0.1, u, 0.0)
-    with pytest.raises(DomainError):
-        ChainState(-1.0)
-    with pytest.raises(DomainError):
-        ChainState(1.0, 0, 1.5)
-    with pytest.raises(DomainError):
-        ChainState(1.0, -2, 0.5)
-
-
 def test_closed_form_matches_iteration():
     assert explicit_solution([3.5], [], []) == 3.5
     rng = np.random.default_rng(31)
@@ -93,10 +66,11 @@ def test_closed_form_matches_iteration():
         u = rng.random(n)
         u[rng.random(n) < 0.1] = 0.0  # exercise hard resets
         y = rng.exponential(1.0, n)
-        state = ChainState(float(v[0]))
+        z = float(v[0])
         for j in range(n):
-            state = lindley_step(state, float(v[j + 1]), float(u[j]), float(y[j]))
-        assert explicit_solution(v, u, y) == pytest.approx(state.zeta, abs=1e-12)
+            hold = z * u[j] - y[j]
+            z = v[j + 1] + (hold if hold > 0.0 else 0.0)
+        assert explicit_solution(v, u, y) == pytest.approx(z, abs=1e-12)
 
 
 def test_closed_form_forgets_everything_before_a_zero_multiplier():

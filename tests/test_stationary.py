@@ -429,6 +429,72 @@ def test_moment_order_validation():
     assert sol.moments(0) == [1.0]
 
 
+@pytest.mark.parametrize("theta", (0.3, 1.0, 3.0))
+def test_mean_comes_from_the_root_identity_alone(monkeypatch, theta):
+    # E f(root U) = b root / (theta + 1) turns the balance of drift against
+    # collapse loss into m1 = b + (theta + 1) c_1 / lam: no collapse ladder
+    from levy_collapse.runner import _CANON_MIX
+
+    def refuse(self, scale):
+        raise AssertionError("moments called the collapse ladder")
+
+    monkeypatch.setattr(stationary.StationarySolution, "_collapse_ladder", refuse)
+    for model in (BrownianDrift(0.5, 1.0), MM1, CppMinusDrift(1.0, 0.5, Erlang(3, 3.0)),
+                  PARETO15, _CANON_MIX):
+        sol = stationary.StationarySolution(model, 1.0, theta)
+        m = sol.moments(2)
+        assert m[1] == sol.b + (theta + 1.0) * model.cumulant(1) / 1.0, model
+
+
+def _mpmath_moments(model, lam, theta, depth, mpmath):
+    """m_1..m_depth of the truncated moment system: equations n = 2..depth+1
+    of sum_{k<n} C(n,k) c_(n-k) m_k - n lam/(theta+n) m_n = 0, with m_0 = 1
+    and m_(depth+1) = 0, in the working precision of `mpmath`."""
+    mpf = mpmath.mpf
+
+    def raw(jumps, j):  # E B^j of an exponential law
+        return mpmath.factorial(j) / mpf(jumps.mu) ** j
+
+    def cumulant(part, j):
+        if isinstance(part, Sum):
+            return sum(cumulant(p, j) for p in part.parts)
+        if isinstance(part, BrownianDrift):
+            return mpf(part.c) if j == 1 else mpf(part.sigma2) if j == 2 else mpf(0)
+        return mpf(part.gamma) * raw(part.jumps, j) - (mpf(part.d) if j == 1 else 0)
+
+    kappa = [None] + [cumulant(model, j) for j in range(1, depth + 2)]
+    lam, theta = mpf(lam), mpf(theta)
+    A, rhs = mpmath.zeros(depth, depth), mpmath.zeros(depth, 1)
+    for row, n in enumerate(range(2, depth + 2)):
+        rhs[row] = -kappa[n]
+        for k in range(1, n):
+            A[row, k - 1] += mpmath.binomial(n, k) * kappa[n - k]
+        if n <= depth:
+            A[row, n - 1] -= n * lam / (theta + n)
+    return mpmath.lu_solve(A, rhs)
+
+
+@pytest.mark.parametrize("model, lam, theta", (
+    # exp.3.10 and sum.5.1 of the seed-1 analytic sweep: the root sits far
+    # inside the distance to f's nearest negative singularity
+    (CppMinusDrift(4.98791824531837, 0.7646163796705531, Exponential(4.630801769060501)),
+     0.34398501064960785, 357.73097628906083),
+    (Sum((BrownianDrift(0.5092666993085575, 0.5656281688552094),
+          CppMinusDrift(4.624664630489137, 1.7060063790294788,
+                        Exponential(6.078764378831461)))),
+     0.015641275379765344, 55.82534810880092),
+), ids=("exp.3.10", "sum.5.1"))
+def test_mean_matches_a_high_precision_moment_solve(model, lam, theta):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        m24 = _mpmath_moments(model, lam, theta, 24, mpmath)[0]
+        m36 = _mpmath_moments(model, lam, theta, 36, mpmath)[0]
+        assert abs(m24 - m36) <= 1e-25 * abs(m36)
+        want = float(m36)
+    got = stationary.StationarySolution(model, lam, theta).moments(1)[1]
+    assert got == pytest.approx(want, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # closed forms and dual-route agreement
 # ---------------------------------------------------------------------------

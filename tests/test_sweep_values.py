@@ -1,0 +1,44 @@
+"""tools/sweep_values.py: bit-level comparison of two sweep records."""
+
+import importlib.util
+import json
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "sweep_values", os.path.join(ROOT, "tools", "sweep_values.py"))
+sweep_values = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(sweep_values)
+
+
+def _model(**moved):
+    vals = {q: 1.0 for q in sweep_values.QUANTITIES}
+    vals.update(moved)
+    return {q: float(v).hex() for q, v in vals.items()}
+
+
+def test_compare_counts_identical_bits_and_names_the_largest_move(tmp_path, capsys):
+    before = {"seeds": [1], "models": {
+        "1:a": _model(), "1:b": _model(m1=2.0), "1:c": _model(),
+        "1:d": {"error": "QuadratureFailure: did not stabilize"},
+        "1:e": {"error": "QuadratureFailure: did not stabilize"}}}
+    after = {"seeds": [1], "models": {
+        "1:a": _model(m1=1.0 + 2.0**-52), "1:b": _model(m1=2.5), "1:c": _model(),
+        "1:d": {"error": "QuadratureFailure: did not stabilize"},
+        "1:e": {"error": "QuadratureFailure: E f(1 U) did not converge"}}}
+    paths = []
+    for name, record in (("A.json", before), ("B.json", after)):
+        paths.append(str(tmp_path / name))
+        with open(paths[-1], "w") as fh:
+            json.dump(record, fh)
+    assert sweep_values.main(["compare"] + paths) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "3 models solve in both records"
+    rows = {line.split()[0]: line for line in lines[1:len(sweep_values.QUANTITIES) + 1]}
+    assert set(rows) == set(sweep_values.QUANTITIES)
+    assert rows["root"].split()[1:] == ["identical", "3/3", "largest", "relative",
+                                        "move", "0", "(-)"]
+    assert "identical 1/3" in rows["m1"] and rows["m1"].endswith("move 0.25 (1:b)")
+    assert lines[-2] == "failures: 2 in A, 2 in B; 1 models differ in failure or message"
+    assert lines[-1] == ("  1:e: QuadratureFailure: did not stabilize -> "
+                         "QuadratureFailure: E f(1 U) did not converge")

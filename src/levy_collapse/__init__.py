@@ -64,7 +64,6 @@ from .simulate import (
     loynes_run,
     path_simulate,
     replication_rng,
-    sample_unit_increment,
     sample_wl_bm,
     sample_wl_mm1,
     tail_table,

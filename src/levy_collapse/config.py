@@ -37,7 +37,9 @@ TOLS = {"root": 1e-12, "b": 1e-8, "f": 1e-7, "moment": 1e-8, "dual_route": 1e-8,
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run parameters; immutable so runs are reproducible. The
-    field defaults are the defaults of the config keys."""
+    field defaults are the defaults of the config keys, and every
+    construction, `dataclasses.replace` included, checks the conditions of
+    `_KEYS`."""
 
     model: LevyModel
     collapse: CollapseLaw
@@ -59,6 +61,16 @@ class RunConfig:
     replications: int = 0  # 0: one replication per worker thread
     suite: str = "all"
     tols: Tuple[Tuple[str, float], ...] = ()
+
+    def __post_init__(self):
+        for _, name, _, ok, message in _KEYS:
+            if ok is not None and not ok(getattr(self, name)):
+                raise ValidationError(message)
+        for name, val in self.tols:
+            if name not in TOLS:
+                raise ValidationError(f"unknown key 'tol.{name}'")
+            if not val >= 0:
+                raise ValidationError(f"tol.{name} must be >= 0")
 
     def tol(self, name: str) -> float:
         """The `tol.<name>` override, else the default in TOLS."""
@@ -95,7 +107,7 @@ def _split_lines(text: str) -> Dict[str, Tuple[str, int]]:
 
 
 def _finite(x: float, key: str, lineno: int) -> float:
-    if not math.isfinite(x):  # nan passes every range check below
+    if not math.isfinite(x):  # nan passes some checks below, inf more
         raise ParseError(f"line {lineno}: {key} needs a finite number")
     return x
 
@@ -137,10 +149,10 @@ class _Fields:
         except ValueError:
             raise ParseError(f"line {lineno}: {key} needs an integer, got {val!r}") from None
 
-    def floats(self, key: str) -> Tuple[float, ...]:
+    def floats(self, key: str, default: Tuple[float, ...] = ()) -> Tuple[float, ...]:
         got = self._get(key)
         if got is None:
-            return ()
+            return default
         val, lineno = got
         try:
             return tuple(_finite(float(tok), key, lineno) for tok in val.replace(",", " ").split())
@@ -156,17 +168,47 @@ class _Fields:
     def finish_prefixless(self) -> Tuple[Tuple[str, float], ...]:
         """Collect the tol.<name> overrides of TOLS, then reject anything
         left over, misspelled tolerance names included."""
-        tols = []
-        for name in TOLS:
-            val = self.float_("tol." + name)
-            if val is not None:
-                if val < 0:
-                    raise ValidationError(f"tol.{name} must be >= 0")
-                tols.append((name, val))
+        tols = tuple((name, val) for name in TOLS
+                     if (val := self.float_("tol." + name)) is not None)
         unknown = sorted(set(self._raw) - self._seen)
         if unknown:
             raise ValidationError(f"unknown key {unknown[0]!r}")
-        return tuple(tols)
+        return tols
+
+
+def _rising(xs) -> bool:
+    return all(b > a for a, b in zip(xs, xs[1:]))
+
+
+# One row per run key, in read order: the config key, its RunConfig field,
+# the reader, the condition every RunConfig meets (None: no condition) and
+# the message when it fails. A key with two conditions has two rows.
+_KEYS = (
+    ("lambda", "lam", _Fields.float_, lambda v: v > 0, "lambda must be > 0"),
+    ("alphas", "alphas", _Fields.floats, lambda v: all(a >= 0 for a in v), "alphas must be >= 0"),
+    ("alphas", "alphas", _Fields.floats, _rising, "alphas must be strictly increasing"),
+    ("thresholds", "thresholds", _Fields.floats, lambda v: all(t > 0 for t in v),
+     "thresholds must be > 0"),
+    ("thresholds", "thresholds", _Fields.floats, _rising, "thresholds must be strictly increasing"),
+    ("n_moments", "n_moments", _Fields.int_, lambda v: v >= 0, "n_moments must be >= 0"),
+    ("engine", "engine", _Fields.str_, lambda v: v in _ENGINES,
+     f"engine must be one of {', '.join(_ENGINES)}"),
+    ("n_samples", "n_samples", _Fields.int_, lambda v: v > 0, "n_samples must be > 0"),
+    ("n_burn", "n_burn", _Fields.int_, lambda v: v >= 0, "n_burn must be >= 0"),
+    ("step_h", "step_h", _Fields.float_, lambda v: v is None or v > 0, "step_h must be > 0"),
+    ("horizon", "horizon", _Fields.float_, lambda v: v is None or v > 0, "horizon must be > 0"),
+    ("eps_trunc", "eps_trunc", _Fields.float_, lambda v: 0 < v <= 1,
+     "eps_trunc must lie in (0, 1]"),
+    ("reservoir_cap", "reservoir_cap", _Fields.int_, lambda v: v >= 0,
+     "reservoir_cap must be >= 0"),
+    ("z0", "z0", _Fields.float_, lambda v: v >= 0, "z0 must be >= 0"),
+    ("master_seed", "master_seed", _Fields.int_, lambda v: v is None or v >= 0,
+     "master_seed must be >= 0"),
+    ("out", "out_dir", _Fields.str_, None, None),
+    ("threads", "threads", _Fields.int_, lambda v: v >= 1, "threads must be >= 1"),
+    ("replications", "replications", _Fields.int_, lambda v: v >= 0, "replications must be >= 0"),
+    ("suite", "suite", _Fields.str_, None, None),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -244,69 +286,9 @@ def parse_config(text: str) -> RunConfig:
     f = _Fields(text)
     model = _build_part(f, "model", True)
     collapse = _build_collapse(f)
-    lam = f.float_("lambda")
-    if lam is None:
+    # a field without a default (lam) reads as None when its key is absent
+    keys = {name: read(f, key, getattr(RunConfig, name, None))
+            for key, name, read, _, _ in _KEYS}
+    if keys["lam"] is None:
         raise ValidationError("lambda is required")
-    if lam <= 0:
-        raise ValidationError("lambda must be > 0")
-
-    alphas = f.floats("alphas")
-    if any(a < 0 for a in alphas):
-        raise ValidationError("alphas must be >= 0")
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise ValidationError("alphas must be strictly increasing")
-    thresholds = f.floats("thresholds")
-    if any(t <= 0 for t in thresholds):
-        raise ValidationError("thresholds must be > 0")
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValidationError("thresholds must be strictly increasing")
-
-    d = RunConfig  # the class attributes hold the field defaults
-    n_moments = f.int_("n_moments", d.n_moments)
-    engine = f.str_("engine", d.engine)
-    if engine not in _ENGINES:
-        raise ValidationError(f"engine must be one of {', '.join(_ENGINES)}")
-    n_samples = f.int_("n_samples", d.n_samples)
-    n_burn = f.int_("n_burn", d.n_burn)
-    step_h = f.float_("step_h")
-    horizon = f.float_("horizon")
-    eps_trunc = f.float_("eps_trunc", d.eps_trunc)
-    reservoir_cap = f.int_("reservoir_cap", d.reservoir_cap)
-    z0 = f.float_("z0", d.z0)
-    master_seed = f.int_("master_seed")
-    out_dir = f.str_("out", d.out_dir)
-    threads = f.int_("threads", d.threads)
-    replications = f.int_("replications", d.replications)
-    suite = f.str_("suite", d.suite)
-    tols = f.finish_prefixless()
-
-    if n_moments < 0:
-        raise ValidationError("n_moments must be >= 0")
-    if n_samples <= 0:
-        raise ValidationError("n_samples must be > 0")
-    if n_burn < 0:
-        raise ValidationError("n_burn must be >= 0")
-    if step_h is not None and step_h <= 0:
-        raise ValidationError("step_h must be > 0")
-    if horizon is not None and horizon <= 0:
-        raise ValidationError("horizon must be > 0")
-    if not 0.0 < eps_trunc <= 1.0:
-        raise ValidationError("eps_trunc must lie in (0, 1]")
-    if reservoir_cap < 0:
-        raise ValidationError("reservoir_cap must be >= 0")
-    if z0 < 0:
-        raise ValidationError("z0 must be >= 0")
-    if master_seed is not None and master_seed < 0:
-        raise ValidationError("master_seed must be >= 0")
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
-    if replications < 0:
-        raise ValidationError("replications must be >= 0")
-
-    return RunConfig(model=model, collapse=collapse, lam=lam, alphas=alphas,
-                     thresholds=thresholds, n_moments=n_moments, engine=engine,
-                     n_samples=n_samples, n_burn=n_burn, step_h=step_h,
-                     horizon=horizon, eps_trunc=eps_trunc,
-                     reservoir_cap=reservoir_cap, z0=z0, master_seed=master_seed,
-                     out_dir=out_dir, threads=threads, replications=replications,
-                     suite=suite, tols=tols)
+    return RunConfig(model=model, collapse=collapse, tols=f.finish_prefixless(), **keys)

@@ -29,7 +29,6 @@ from .models import (
     CppMinusDrift,
     Exponential,
     LevyModel,
-    Sum,
 )
 from .stationary import bm_roots, mm1_roots
 
@@ -96,10 +95,10 @@ class SamplePool:
         self.alphas = tuple(float(a) for a in self.alphas)
         self.thresholds = tuple(float(t) for t in self.thresholds)
         self.cap = int(self.cap)
-        if any(a < 0 for a in self.alphas):
-            raise DomainError("transform grid needs alpha >= 0")
-        if any(t <= 0 for t in self.thresholds):
-            raise DomainError("exceedance thresholds must be > 0")
+        if not all(0 <= a < math.inf for a in self.alphas):
+            raise DomainError("transform grid needs finite alpha >= 0")
+        if not all(0 < t < math.inf for t in self.thresholds):
+            raise DomainError("exceedance thresholds must be finite and > 0")
         if self.cap < 0:
             raise DomainError("reservoir cap must be >= 0")
         if self.sums is None:
@@ -769,8 +768,8 @@ def _lanes(model, step_h, rng, z, pool=None):
     brownian = model.sigma2_total() > 0.0
     if brownian and step_h is None:
         raise ConfigError("step_h is required when the model has a Brownian part")
-    if step_h is not None and step_h <= 0:
-        raise ConfigError("step_h must be > 0")
+    if step_h is not None and not 0 < step_h < math.inf:
+        raise ConfigError("step_h must be > 0 and finite")
     return _Euler(model, step_h, rng, z, pool) if brownian else _Exact(model, z, pool)
 
 
@@ -797,12 +796,12 @@ def path_simulate(model: LevyModel, lam: float, collapse: CollapseLaw, *,
     """
     if (horizon is None) == (n_collapses is None):
         raise ConfigError("give exactly one of horizon or n_collapses")
-    if horizon is not None and horizon < 0:
-        raise ConfigError("horizon must be >= 0")
+    if horizon is not None and not 0 <= horizon < math.inf:
+        raise ConfigError("horizon must be finite and >= 0")
     if n_collapses is not None and (int(n_collapses) <= 0 or lam <= 0):
         raise ConfigError("n_collapses mode needs n_collapses > 0 and lam > 0")
-    if lam < 0 or z0 < 0:
-        raise ConfigError("need lam >= 0 and z0 >= 0")
+    if not (0 <= lam < math.inf and 0 <= z0 < math.inf):
+        raise ConfigError("need finite lam >= 0 and z0 >= 0")
     if n_collapses is not None:
         n_collapses = int(n_collapses)
 
@@ -841,11 +840,11 @@ def coupling_check(model: LevyModel, lam: float, collapse: CollapseLaw,
     increasing map, which never widens the gap, so the violation stays at
     rounding level and the gap cannot turn negative.
     """
-    if not 0.0 <= x0 <= y0:
-        raise DomainError("need 0 <= x0 <= y0")
+    if not 0.0 <= x0 <= y0 < math.inf:
+        raise DomainError("need 0 <= x0 <= y0 < inf")
     n_collapses = int(n_collapses)
-    if n_collapses <= 0 or lam <= 0:
-        raise DomainError("need n_collapses > 0 and lam > 0")
+    if n_collapses <= 0 or not 0 < lam < math.inf:
+        raise DomainError("need n_collapses > 0 and finite lam > 0")
     gap0, pi, violation, min_gap = y0 - x0, 1.0, 0.0, y0 - x0
     lanes = _lanes(model, step_h, rng, [x0, y0])
     events = _EventBatches(model, lam, collapse, rng)
@@ -917,28 +916,3 @@ def ks_critical(n: int, m: int, q: float = 0.01) -> float:
         raise DomainError("tail probability q must lie in (0, 1)")
     c = math.sqrt(-0.5 * math.log(0.5 * q))
     return c * math.sqrt((n + m) / (n * m))
-
-
-def sample_unit_increment(model: LevyModel, rng: np.random.Generator,
-                          size: int) -> np.ndarray:
-    """Draws of X_1, for Monte Carlo checks of the exponent.
-
-    The Brownian part is normal with mean c; a compound part adds a
-    Poisson(gamma) number of jumps and subtracts the drain d.
-    """
-    size = int(size)
-    if isinstance(model, Sum):
-        out = np.zeros(size)
-        for part in model.parts:
-            out += sample_unit_increment(part, rng, size)
-        return out
-    if isinstance(model, BrownianDrift):
-        return rng.normal(model.c, math.sqrt(model.sigma2), size)
-    counts = rng.poisson(model.gamma, size)
-    out = np.full(size, -model.d, dtype=float)
-    total = int(counts.sum())
-    if total:
-        jumps = model.jumps.sample(rng, total)
-        idx = np.repeat(np.arange(size), counts)
-        out += np.bincount(idx, weights=jumps, minlength=size)
-    return out

@@ -123,14 +123,9 @@ def find_alpha_lambda(model: LevyModel, lam: float) -> float:
 
 def w_tau_lst(model: LevyModel, lam: float, alpha: float) -> float:
     """Transform of the reflected level at an independent exp(lam) time,
-    started from zero: (1 - alpha/root) / (1 - phi(alpha)/lam), with the
-    l'Hopital value lam / (root * phi'(root)) at the root itself."""
-    if not 0 <= alpha < math.inf:
-        raise DomainError("alpha must be finite and >= 0")
-    root = _alpha_root(model, lam)
-    if abs(alpha - root) <= _AT_ROOT_RTOL * root:
-        return lam / (root * model.phi_dn(root, 1))
-    return (1.0 - alpha / root) / (1.0 - model.phi(alpha) / lam)
+    started from zero: `wx_joint_lst` at x = 0, that is
+    (1 - alpha/root) / (1 - phi(alpha)/lam)."""
+    return wx_joint_lst(model, lam, 0.0, alpha)
 
 
 def wx_joint_lst(model: LevyModel, lam: float, x: float, alpha: float,
@@ -879,20 +874,23 @@ def incomplete_beta(z: float, a1: float, a2: float) -> float:
     return math.exp(math.lgamma(a1) + math.lgamma(a2) - math.lgamma(a1 + a2)) - part
 
 
+def _root_pair(h: float, e: float, num: float, den: float) -> Tuple[float, float]:
+    """r1 > 0 > r2, the roots h +- sqrt(h^2 + e): the one without
+    cancellation first, the other from the product r1*r2 = num/den."""
+    disc = math.sqrt(h * h + e)
+    if h >= 0:
+        r1 = h + disc
+        return r1, num / (den * r1)
+    r2 = h - disc
+    return num / (den * r2), r2
+
+
 def bm_roots(c: float, sigma2: float, lam: float) -> Tuple[float, float, float, float]:
     """(y1, y2, D1, D2) for the Brownian-input closed form: y1 > 0 > y2
-    solve lam - phi(alpha) = 0, the better conditioned root first and the
-    other from the product y1*y2 = -2*lam/sigma2."""
+    solve lam - phi(alpha) = 0, with product y1*y2 = -2*lam/sigma2."""
     if sigma2 <= 0 or lam <= 0:
         raise DomainError("need sigma2 > 0 and lam > 0")
-    half_sum = c / sigma2
-    disc = math.sqrt(half_sum * half_sum + 2.0 * lam / sigma2)
-    if half_sum >= 0:
-        y1 = half_sum + disc
-        y2 = -2.0 * lam / (sigma2 * y1)
-    else:
-        y2 = half_sum - disc
-        y1 = -2.0 * lam / (sigma2 * y2)
+    y1, y2 = _root_pair(c / sigma2, 2.0 * lam / sigma2, -2.0 * lam, sigma2)
     d1 = -y2 / (y1 - y2)
     return y1, y2, d1, 1.0 - d1
 
@@ -908,32 +906,35 @@ def _power_primitive(alpha: float, r_pos: float, r_neg: float, e_pos: float,
                     - incomplete_beta(t0, 1.0 + e_neg, 1.0 + e_pos))
 
 
+def _two_root_lst(roots: Tuple[float, float, float, float], alpha: float,
+                  num: float = 1.0, den: float = 1.0) -> float:
+    """Stationary transform with Uniform multipliers, f = (1 - g/g(r1)) /
+    (g'(alpha) (1 - phi(alpha)/lam)) with the partial-fraction primitive g,
+    in incomplete beta functions. 1 - phi(alpha)/lam is a multiple of
+    (r1-alpha)(alpha-r2) over a linear factor (1 when there is none), and
+    num/den is that factor at alpha over its value at 0."""
+    r1, r2, e1, e2 = roots
+    if not 0.0 <= alpha < r1:
+        raise DomainError("closed form needs 0 <= alpha < the positive root")
+    ratio = (_power_primitive(alpha, r1, r2, e1, e2)
+             / _power_primitive(r1, r1, r2, e1, e2))
+    return ((r1 / (r1 - alpha)) ** (1.0 + e1)
+            * ((-r2) / (alpha - r2)) ** (1.0 + e2) * num / den * (1.0 - ratio))
+
+
 def bm_closed_form_lst(c: float, sigma2: float, lam: float, alpha: float) -> float:
-    """Stationary transform for Brownian input and Uniform multipliers,
-    entirely in terms of incomplete beta functions."""
-    y1, y2, d1, d2 = bm_roots(c, sigma2, lam)
-    if not 0.0 <= alpha < y1:
-        raise DomainError("closed form needs 0 <= alpha < y1")
-    ratio = (_power_primitive(alpha, y1, y2, d1, d2)
-             / _power_primitive(y1, y1, y2, d1, d2))
-    return ((y1 / (y1 - alpha)) ** (1.0 + d1)
-            * ((-y2) / (alpha - y2)) ** (1.0 + d2) * (1.0 - ratio))
+    """Stationary transform for Brownian input and Uniform multipliers."""
+    return _two_root_lst(bm_roots(c, sigma2, lam), alpha)
 
 
 def mm1_roots(d: float, gamma: float, mu: float, lam: float) -> Tuple[float, float, float, float]:
     """(z1, z2, F1, F2) for the exponential-jump closed form: z1 > 0 > z2
     solve the quadratic with sum s = (lam + gamma)/d - mu and product
-    -lam*mu/d, the root without cancellation first, as in `bm_roots`."""
+    -lam*mu/d."""
     if d <= 0 or gamma < 0 or mu <= 0 or lam <= 0:
         raise DomainError("need d > 0, gamma >= 0, mu > 0, lam > 0")
     s = (lam + gamma) / d - mu
-    disc = math.sqrt(s * s + 4.0 * lam * mu / d)
-    if s >= 0:
-        z1 = 0.5 * (s + disc)
-        z2 = -lam * mu / (d * z1)
-    else:
-        z2 = 0.5 * (s - disc)
-        z1 = -lam * mu / (d * z2)
+    z1, z2 = _root_pair(0.5 * s, lam * mu / d, -lam * mu, d)
     f1 = (lam / d - z2) / (z1 - z2)
     return z1, z2, f1, 1.0 - f1
 
@@ -941,18 +942,10 @@ def mm1_roots(d: float, gamma: float, mu: float, lam: float) -> Tuple[float, flo
 def mm1_closed_form_lst(d: float, gamma: float, mu: float, lam: float,
                         alpha: float) -> float:
     """Stationary transform for exponential jumps minus drift, Uniform
-    multipliers: f = (1 - g/g(z1)) / (g'(alpha) (1 - phi(alpha)/lam)) with
-    the partial-fraction primitive g. Here 1 - phi(alpha)/lam =
-    d (z1-alpha)(alpha-z2) / (lam (mu+alpha)), so the power-product form
-    carries a factor (mu + alpha)/mu beyond the Brownian pattern."""
-    z1, z2, f1, f2 = mm1_roots(d, gamma, mu, lam)
-    if not 0.0 <= alpha < z1:
-        raise DomainError("closed form needs 0 <= alpha < z1")
-    ratio = (_power_primitive(alpha, z1, z2, f1, f2)
-             / _power_primitive(z1, z1, z2, f1, f2))
-    return ((z1 / (z1 - alpha)) ** (1.0 + f1)
-            * ((-z2) / (alpha - z2)) ** (1.0 + f2)
-            * (mu + alpha) / mu * (1.0 - ratio))
+    multipliers. Here 1 - phi(alpha)/lam = d (z1-alpha)(alpha-z2) /
+    (lam (mu+alpha)), so the form carries a factor (mu + alpha)/mu beyond
+    the Brownian one."""
+    return _two_root_lst(mm1_roots(d, gamma, mu, lam), alpha, mu + alpha, mu)
 
 
 def level_crossing_p0(d: float, lam: float, b: float) -> float:

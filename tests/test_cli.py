@@ -4,6 +4,8 @@ import concurrent.futures
 import csv
 import math
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from levy_collapse import (
     Exponential,
     ParseError,
     Pareto,
+    RunConfig,
     Sum,
     Uniform01,
     ValidationError,
@@ -177,6 +180,52 @@ def test_validation_errors_name_the_key():
     assert parse_config(BM_TEXT).seed() == 42
     with pytest.raises(ValidationError, match="master_seed"):
         parse_config(MM1_TEXT.replace("master_seed = 7\n", "")).seed()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("lambda = 1", "lambda = 0", "lambda must be > 0"),
+    ("lambda = 1\n", "", "lambda is required"),
+    ("", "alphas = -1 0.5", "alphas must be >= 0"),
+    ("", "alphas = 0.5 0.5", "alphas must be strictly increasing"),
+    ("", "thresholds = 0 1", "thresholds must be > 0"),
+    ("", "thresholds = 2 1", "thresholds must be strictly increasing"),
+    ("", "n_moments = -1", "n_moments must be >= 0"),
+    ("", "engine = warp", "engine must be one of embedded, loynes, path"),
+    ("", "n_samples = 0", "n_samples must be > 0"),
+    ("", "n_burn = -1", "n_burn must be >= 0"),
+    ("", "step_h = 0", "step_h must be > 0"),
+    ("", "horizon = 0", "horizon must be > 0"),
+    ("", "eps_trunc = 0", "eps_trunc must lie in (0, 1]"),
+    ("", "eps_trunc = 1.5", "eps_trunc must lie in (0, 1]"),
+    ("", "reservoir_cap = -1", "reservoir_cap must be >= 0"),
+    ("", "z0 = -0.5", "z0 must be >= 0"),
+    ("master_seed = 7", "master_seed = -1", "master_seed must be >= 0"),
+    ("", "threads = 0", "threads must be >= 1"),
+    ("", "replications = -1", "replications must be >= 0"),
+    ("", "tol.b = -1", "tol.b must be >= 0"),
+])
+def test_one_bad_value_per_run_key_names_its_condition(old, new, message):
+    text = MM1_TEXT.replace(old, new) if old else MM1_TEXT + new + "\n"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_config(text)
+
+
+def test_overrides_and_direct_construction_meet_the_key_conditions(tmp_path, capsys):
+    cfg = parse_config(MM1_TEXT)
+    with pytest.raises(ValidationError, match="^n_samples must be > 0$"):
+        replace(cfg, n_samples=0)
+    with pytest.raises(ValidationError, match="^tol.b must be >= 0$"):
+        replace(cfg, tols=(("b", -1.0),))
+    with pytest.raises(ValidationError, match="^unknown key 'tol.fixedpoint'$"):
+        replace(cfg, tols=(("fixedpoint", 1e-3),))
+    with pytest.raises(ValidationError, match="^lambda must be > 0$"):
+        RunConfig(cfg.model, cfg.collapse, math.nan)
+    path = write_cfg(tmp_path, MM1_TEXT)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--seed", "-1", "--out", str(out)]) == 2
+    got = capsys.readouterr()
+    assert got.err == "error: ValidationError: master_seed must be >= 0\n"
+    assert got.out == "" and not out.exists()
 
 
 # ---------------------------------------------------------------------------

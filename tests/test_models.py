@@ -16,7 +16,6 @@ from levy_collapse import (
     Pareto,
     Sum,
     Uniform01,
-    sample_unit_increment,
 )
 from levy_collapse import models
 
@@ -85,6 +84,26 @@ def test_sum_exponent_is_exact_sum_of_parts():
     for alpha in (0.0, 0.37, 1.0, 4.2):
         parts = sum(p.phi(alpha) for p in MIX.parts)
         assert MIX.phi(alpha) == parts
+
+
+def sample_unit_increment(model, rng, size):
+    """Draws of X_1, for Monte Carlo checks of the exponent.
+
+    The Brownian part is normal with mean c; a compound part adds a
+    Poisson(gamma) number of jumps and subtracts the drain d.
+    """
+    if isinstance(model, Sum):
+        return sum(sample_unit_increment(part, rng, size) for part in model.parts)
+    if isinstance(model, BrownianDrift):
+        return rng.normal(model.c, math.sqrt(model.sigma2), size)
+    counts = rng.poisson(model.gamma, size)
+    out = np.full(size, -model.d, dtype=float)
+    total = int(counts.sum())
+    if total:
+        jumps = model.jumps.sample(rng, total)
+        idx = np.repeat(np.arange(size), counts)
+        out += np.bincount(idx, weights=jumps, minlength=size)
+    return out
 
 
 def test_exponent_matches_simulated_increments():

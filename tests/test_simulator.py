@@ -318,6 +318,25 @@ def test_path_engine_mode_validation():
         path_simulate(MM1, 1.0, UNI, horizon=1.0, z0=-0.1, rng=rng)
 
 
+def test_engines_refuse_non_finite_inputs_before_any_draw():
+    # nan passes a `< 0` check, and a run to an inf horizon never ends: the
+    # nan horizon comes first, so a missing check fails instead of hanging
+    rng = replication_rng(1, 0)
+    state = rng.bit_generator.state
+    for kw in ({"horizon": math.nan}, {"horizon": math.inf},
+               {"n_collapses": 5, "z0": math.nan}, {"n_collapses": 5, "z0": math.inf},
+               {"n_collapses": 5, "step_h": math.nan}):
+        with pytest.raises(ConfigError):
+            path_simulate(MM1, 1.0, UNI, rng=rng, **kw)
+    for x0, y0, lam in ((1.0, math.inf, 1.0), (math.nan, 1.0, 1.0), (0.5, 1.0, math.nan)):
+        with pytest.raises(DomainError):
+            coupling_check(MM1, lam, UNI, x0, y0, 10, rng)
+    for grids in (((math.inf,), ()), ((math.nan,), ()), ((), (math.nan,)), ((), (math.inf,))):
+        with pytest.raises(DomainError):
+            SamplePool(*grids)
+    assert rng.bit_generator.state == state
+
+
 def test_path_engine_agrees_with_embedded_chain():
     # same stationary law from two independent mechanisms; KS at the 1%
     # asymptotic threshold

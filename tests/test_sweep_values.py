@@ -31,7 +31,7 @@ def test_compare_counts_identical_bits_and_names_the_largest_move(tmp_path, caps
         paths.append(str(tmp_path / name))
         with open(paths[-1], "w") as fh:
             json.dump(record, fh)
-    assert sweep_values.main(["compare"] + paths) == 0
+    assert sweep_values.main(["compare"] + paths) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "3 models solve in both records"
     rows = {line.split()[0]: line for line in lines[1:len(sweep_values.QUANTITIES) + 1]}
@@ -42,3 +42,22 @@ def test_compare_counts_identical_bits_and_names_the_largest_move(tmp_path, caps
     assert lines[-2] == "failures: 2 in A, 2 in B; 1 models differ in failure or message"
     assert lines[-1] == ("  1:e: QuadratureFailure: did not stabilize -> "
                          "QuadratureFailure: E f(1 U) did not converge")
+
+
+def test_compare_exits_one_on_any_changed_bit_or_failure(tmp_path, capsys):
+    base = {"1:a": _model(), "1:b": {"error": "QuadratureFailure: did not stabilize"}}
+    changed = (
+        {},
+        {"1:a": _model(m4=1.0 + 2.0**-52)},
+        {"1:b": {"error": "QuadratureFailure: E f(1 U) did not converge"}},
+        {"1:b": _model()},
+        {"1:c": _model()},
+    )
+    for i, moved in enumerate(changed):
+        paths = []
+        for name, models in (("A", base), ("B", {**base, **moved})):
+            paths.append(str(tmp_path / f"{name}{i}.json"))
+            with open(paths[-1], "w") as fh:
+                json.dump({"seeds": [1], "models": models}, fh)
+        assert sweep_values.main(["compare"] + paths) == (1 if moved else 0), moved
+    capsys.readouterr()

@@ -16,7 +16,8 @@ checkout; perfbench is only read.
 
 `compare A B` prints, per quantity, how many models carry the same bits in
 both records and the largest relative move from A to B with its model, then
-every model whose failure or message differs.
+every model whose failure or message differs. It exits 0 when every
+quantity is bit-identical and every failure the same, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -81,14 +82,16 @@ def _move(a, b):
 
 
 def compare(before, after):
-    """Lines of the comparison of two dumps."""
+    """Lines of the comparison of two dumps, and whether they are identical."""
     a_models, b_models = before["models"], after["models"]
     both = [k for k in a_models if k in b_models
             and "error" not in a_models[k] and "error" not in b_models[k]]
     lines = [f"{len(both)} models solve in both records"]
+    identical = True
     for q in QUANTITIES:
         keys = [k for k in both if q in a_models[k] and q in b_models[k]]
         same = sum(a_models[k][q] == b_models[k][q] for k in keys)
+        identical &= same == len(keys)
         worst, where = 0.0, "-"
         for k in keys:
             move = _move(float.fromhex(a_models[k][q]), float.fromhex(b_models[k][q]))
@@ -105,7 +108,7 @@ def compare(before, after):
     fails = [sum("error" in v for v in m.values()) for m in (a_models, b_models)]
     lines.append(f"failures: {fails[0]} in A, {fails[1]} in B; "
                  f"{len(differ)} models differ in failure or message")
-    return lines + differ
+    return lines + differ, identical and not differ
 
 
 def main(argv=None):
@@ -129,8 +132,9 @@ def main(argv=None):
         before = json.load(fh)
     with open(args.after) as fh:
         after = json.load(fh)
-    print("\n".join(compare(before, after)))
-    return 0
+    lines, identical = compare(before, after)
+    print("\n".join(lines))
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":

@@ -64,7 +64,11 @@ class RunConfig:
 
     def __post_init__(self):
         for _, name, _, ok, message in _KEYS:
-            if ok is not None and not ok(getattr(self, name)):
+            try:  # None, or another type a condition cannot compare, fails it
+                good = ok is None or ok(getattr(self, name))
+            except TypeError:
+                good = False
+            if not good:
                 raise ValidationError(message)
         for name, val in self.tols:
             if name not in TOLS:

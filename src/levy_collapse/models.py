@@ -14,7 +14,9 @@ jumps is BrownianDrift(-d, 0). The collapse multipliers are Beta(theta, 1)
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -36,8 +38,9 @@ __all__ = [
     "CollapseLaw",
 ]
 
-# Arguments with alpha*scale above this make exp(-alpha*x) underflow anyway.
-_EXP_UNDERFLOW = 700.0
+# Regions of s = alpha*xm: beyond 700 exp(-alpha*B) underflows anyway, and up
+# to 2 the Pareto transforms take their power series
+_is_zero, _small, _underflows = (lambda s: s == 0.0), (lambda s: s <= 2.0), (lambda s: s > 700.0)
 
 # Gamma(c) z^-c and the k = m term of the incomplete-gamma series both have a
 # pole at c = -m; within this distance of it they are summed as one pole-free
@@ -55,20 +58,61 @@ def _require(cond: bool, msg: str, obj) -> None:
         raise ModelError(f"{msg}: {obj!r}")
 
 
-def _upper_gamma(a: float, z: float) -> float:
+# Transforms and exponents take a float, giving a Python float, or an array,
+# giving one of its shape; _xp names the module of the argument's exp and log.
+def _xp(x):
+    return np if isinstance(x, np.ndarray) else math
+
+
+def _least(x) -> float:
+    return x.min(initial=math.inf) if isinstance(x, np.ndarray) else x
+
+
+def _regions(x, *branches):
+    """fun(x) of the first branch (test, fun) whose test holds (the last
+    one's is None). A float takes one branch and returns a float; an array
+    is split by masks, and each branch function is called once, on its part."""
+    if not isinstance(x, np.ndarray):
+        return next(float(fun(x)) for test, fun in branches if test is None or test(x))
+    out, left = np.empty(x.shape), np.ones(x.shape, dtype=bool)
+    for test, fun in branches:
+        hit = left if test is None else left & test(x)
+        if hit.any():
+            out[hit] = fun(x[hit])
+            left &= ~hit
+    return out
+
+
+def _horner(coefs: tuple, lims: list, x):
+    """sum_j coefs[j] x^j by Horner's rule, to the last term that matters."""
+    n = bisect_left(lims, -_least(-abs(x)))
+    acc = coefs[n - 1]
+    for c in reversed(coefs[:n - 1]):
+        acc = acc * x + c
+    return acc
+
+
+def _truncation(coefs: tuple) -> list:
+    """lims[n]: the largest |x| at which every term j >= n of the series is
+    below 1e-19 of its first nonzero term (-1 up to that term)."""
+    c = np.abs(np.array(coefs))
+    j0 = int(np.flatnonzero(c)[0])
+    with np.errstate(divide="ignore"):  # a zero coefficient limits nothing
+        xj = (1e-19 * c[j0] / c[j0 + 1:]) ** (1.0 / np.arange(1, len(c) - j0))
+    return [-1.0] * (j0 + 1) + np.minimum.accumulate(xj[::-1])[::-1].tolist() + [math.inf]
+
+
+def _upper_gamma(a: float, z):
     """Upper incomplete gamma Gamma(a, z) for z > 2 and real a.
 
-    Legendre's continued fraction (DLMF 8.9.2), by modified Lentz. It has
-    no pole at the non-positive integers and keeps its relative accuracy
-    where Gamma(a, z) is as small as e^-z; for z > 2 and |a| <= ~12 it
-    converges in at most ~66 steps, and in 4-9 for z >= 50. Orders above
-    z + 1 would cost it digits (9e-9 relative at a = 12, z = 2); there
-    Gamma(a, z) = Gamma(a) - gamma(a, z) with the lower function from its
-    series of positive terms (DLMF 8.7.1), and gamma(a, z) is at most about
-    half of Gamma(a), so the difference does not cancel. Only the highest
-    derivatives of the root series ask for such orders.
-    """
-    if a > z + 1.0:
+    Legendre's continued fraction (DLMF 8.9.2), run backward from a depth
+    set by the least z of the call (forward Lentz needs at most 70 steps at
+    z = 2.0001, 6 at z = 700, for |a| <= 12): no pole at the non-positive
+    integers, and relative accuracy where Gamma(a, z) is as small as e^-z.
+    Above z + 1 (9e-9 at a = 12, z = 2) a float z, which only the highest
+    derivatives of the root series ask for, takes Gamma(a) - gamma(a, z),
+    the lower function by its series of positive terms (DLMF 8.7.1)."""
+    if not isinstance(z, np.ndarray) and a > z + 1.0:
         term = total = 1.0 / a
         k = 1
         while term > 1e-17 * total:
@@ -76,65 +120,58 @@ def _upper_gamma(a: float, z: float) -> float:
             total += term
             k += 1
         return math.gamma(a) - z**a * math.exp(-z) * total
-    b = z + 1.0 - a
-    d = 1.0 / (b or 1e-300)
-    c, h = 1e300, d
-    for i in range(1, 200):
-        an = -i * (i - a)
-        b += 2.0
-        d = 1.0 / ((an * d + b) or 1e-300)
-        c = (b + an / c) or 1e-300
-        h *= c * d
-        if abs(c * d - 1.0) < 1e-16:
-            break
-    return z**a * math.exp(-z) * h
+    depth = 12 + math.ceil(120.0 / _least(z))
+    h = z + (2 * depth + 1 - a)
+    for i in range(depth, 0, -1):
+        h = (z + (2 * i - 1 - a)) - i * (i - a) / h
+    return z**a * _xp(z).exp(-z) / h
 
 
-def _gamma_series(c: float, z: float, kmin: int = 0) -> float:
-    """Gamma(c) z^-c - sum_{k>=kmin} (-z)^k / (k! (k+c)); z^-c Gamma(c, z) at kmin = 0.
-
-    Converges like the exponential series; intended for z <= ~2 where fewer
-    than 30 terms reach double precision. Near c = -m + e with m >= kmin,
-    Gamma(c) z^-c and the k = m term share the pole 1/e, and their sum is
-    the pole-free (-z)^m/m! * expm1(e r)/e with
-        r = lgamma(1+e)/e - log z - sum_{j=1..m} log1p(-e/j)/e.
-    """
+@lru_cache(maxsize=256)
+def _series_terms(c: float, kmin: int) -> tuple:
+    """`_gamma_series` at (c, kmin): its lead term, a function of z, and the
+    coefficients (-1)^k / (k! (k+c)), k >= kmin, with their truncation limits."""
     m = round(-c)
     e = c + m
     merged = m >= kmin and abs(e) <= _NEAR_INT_DELTA
-    if merged:
-        # lgamma(1+e)/e by its Taylor series: the quotient itself would lose
-        # log10(1/|e|) digits
-        r = sum((-1) ** k * zeta * e ** (k - 1) / k for k, zeta in enumerate(_ZETA, 2))
-        r -= np.euler_gamma + math.log(z)
-        for j in range(1, m + 1):
-            r -= math.log1p(-e / j) / e if e else -1.0 / j
-        total = (-z) ** m / math.factorial(m) * (math.expm1(e * r) / e if e else r)
-    else:
-        total = math.gamma(c) * z ** -c
-    term = 1.0  # (-z)^k / k!
-    for k in range(60):
-        if k >= kmin and not (merged and k == m):
-            total -= term / (k + c)
-        term *= -z / (k + 1)
-        if k + 1 >= kmin and abs(term) < 1e-25 * (abs(total) + 1e-300):
-            break
-    return total
+    coefs = tuple(0.0 if merged and k == m else (-1.0) ** k / (math.factorial(k) * (k + c))
+                  for k in range(kmin, kmin + 34))
+    if not merged:
+        gam = math.gamma(c)
+        return (lambda z: gam * z ** -c), coefs, _truncation(coefs)
+    # lgamma(1+e)/e by its Taylor series: the quotient itself would lose
+    # log10(1/|e|) digits
+    r0 = sum((-1) ** k * zeta * e ** (k - 1) / k for k, zeta in enumerate(_ZETA, 2))
+    r0 -= np.euler_gamma + sum(math.log1p(-e / j) / e if e else -1.0 / j
+                               for j in range(1, m + 1))
+
+    def lead(z):
+        r = r0 - _xp(z).log(z)
+        return (-z) ** m / math.factorial(m) * (_xp(z).expm1(e * r) / e if e else r)
+    return lead, coefs, _truncation(coefs)
 
 
-def _series_from_square(term: float, ratio) -> float:
-    """sum_{j>=2} t_j with t_2 = term and t_(j+1) = t_j * ratio(j).
+def _gamma_series(c: float, z, kmin: int = 0):
+    """Gamma(c) z^-c - sum_{k>=kmin} (-z)^k / (k! (k+c)); z^-c Gamma(c, z) at kmin = 0.
 
-    The excess transforms lst - 1 + mean*alpha of closed-form jump laws
-    start at their alpha^2 term, so summing from there keeps every digit
-    the direct form cancels away at small alpha; callers keep |ratio| <= 1/2.
+    For z <= 2, where 34 terms reach double precision, by Horner's rule
+    (`_series_terms`). Near c = -m + e with m >= kmin, Gamma(c) z^-c and the
+    k = m term share the pole 1/e; their sum is the pole-free (-z)^m/m! * expm1(e r)/e with
+        r = lgamma(1+e)/e - log z - sum_{j=1..m} log1p(-e/j)/e.
     """
-    total, j = 0.0, 2
-    while abs(term) > 1e-17 * abs(total):
-        total += term
-        term *= ratio(j)
-        j += 1
-    return total
+    lead, coefs, lims = _series_terms(c, kmin)
+    return lead(z) - z**kmin * _horner(coefs, lims, z)
+
+
+@lru_cache(maxsize=16)
+def _excess_terms(shape: int) -> tuple:
+    """Coefficients of u^j, j >= 2, of (1+u)^-shape, the Erlang excess at
+    u = alpha/rate (shape 0: of exp(-u), the deterministic excess), and
+    their truncation limits (`_horner` sums them where k|u| <= 1/2)."""
+    coefs = [0.5 * shape * (shape + 1) if shape else 0.5]
+    for j in range(2, 70):
+        coefs.append(coefs[-1] * (-(shape + j) / (j + 1) if shape else -1.0 / (j + 1)))
+    return tuple(coefs), _truncation(coefs)
 
 
 # ---------------------------------------------------------------------------
@@ -151,21 +188,17 @@ class Exponential:
     def __post_init__(self):
         _require(self.mu > 0, "Exponential jumps need rate mu > 0", self)
 
-    def lst(self, alpha: float) -> float:
+    def lst(self, alpha):
         return self.mu / (self.mu + alpha)
 
     def lst_deriv(self, alpha: float, order: int = 1) -> float:
         # d^n/da^n mu/(mu+a) = (-1)^n n! mu / (mu+a)^{n+1}
-        n = order
-        return (-1.0) ** n * math.factorial(n) * self.mu / (self.mu + alpha) ** (n + 1)
-
-    def one_minus_lst(self, alpha: float) -> float:
-        return alpha / (self.mu + alpha)
+        return (-1.0) ** order * math.factorial(order) * self.mu / (self.mu + alpha) ** (order + 1)
 
     def moment(self, n: int) -> float:
         return math.factorial(n) / self.mu**n
 
-    def excess_lst(self, alpha: float) -> float:
+    def excess_lst(self, alpha):
         """lst(alpha) - 1 + mean*alpha, computed without cancellation."""
         return alpha * alpha / (self.mu * (self.mu + alpha))
 
@@ -191,34 +224,26 @@ class Erlang:
                  "Erlang shape must be an integer >= 1", self)
         _require(self.rate > 0, "Erlang rate must be > 0", self)
 
-    def lst(self, alpha: float) -> float:
-        return math.exp(-self.shape * math.log1p(alpha / self.rate))
+    def lst(self, alpha):
+        return _xp(alpha).exp(-self.shape * _xp(alpha).log1p(alpha / self.rate))
 
     def lst_deriv(self, alpha: float, order: int = 1) -> float:
         # (r/(r+a))^k picks up a rising factorial per derivative order.
         k, r = self.shape, self.rate
-        rising = 1.0
-        for j in range(order):
-            rising *= k + j
+        rising = math.prod(range(k, k + order))
         return (-1.0) ** order * rising / r**order * self.lst(alpha) / (1.0 + alpha / r) ** order
 
-    def one_minus_lst(self, alpha: float) -> float:
-        return -math.expm1(-self.shape * math.log1p(alpha / self.rate))
-
     def moment(self, n: int) -> float:
-        rising = 1.0
-        for j in range(n):
-            rising *= self.shape + j
-        return rising / self.rate**n
+        return math.prod(range(self.shape, self.shape + n)) / self.rate**n
 
-    def excess_lst(self, alpha: float) -> float:
+    def excess_lst(self, alpha):
         """lst(alpha) - 1 + mean*alpha; the binomial series of (1+u)^-shape,
         u = alpha/rate, from its u^2 term while shape*|u| <= 1/2."""
-        k, u = self.shape, alpha / self.rate
-        if k * abs(u) > 0.5:
-            return self.lst(alpha) - 1.0 + self.moment(1) * alpha
-        return _series_from_square(0.5 * k * (k + 1) * u * u,
-                                   lambda j: -(k + j) / (j + 1) * u)
+        k, (coefs, lims) = self.shape, _excess_terms(self.shape)
+        return _regions(alpha / self.rate,
+                        (lambda u: k * abs(u) > 0.5,
+                         lambda u: _xp(u).exp(-k * _xp(u).log1p(u)) - 1.0 + k * u),
+                        (None, lambda u: u * u * _horner(coefs, lims, u)))
 
     def lst_abs_tol(self) -> float:
         return 0.0
@@ -248,63 +273,43 @@ class Pareto:
         _require(self.delta > 1, "Pareto tail index delta must be > 1 (finite mean)", self)
         _require(self.xm > 0, "Pareto scale xm must be > 0", self)
 
-    def lst(self, alpha: float) -> float:
-        if alpha < 0.0:
+    def _scaled(self, alpha):
+        if _least(alpha) < 0.0:
             raise ModelError("Pareto transform diverges for alpha < 0")
-        s0 = alpha * self.xm  # 0 also when a subnormal alpha underflows
-        if s0 == 0.0:
-            return 1.0
-        if s0 > _EXP_UNDERFLOW:
-            return 0.0
-        d = self.delta
-        if s0 <= 2.0:
-            return d * _gamma_series(-d, s0)
-        return d * s0**d * _upper_gamma(-d, s0)
+        return alpha * self.xm  # 0 also when a subnormal alpha underflows
 
-    def lst_deriv(self, alpha: float, order: int = 1) -> float:
-        if alpha < 0.0:
-            raise ModelError("Pareto transform diverges for alpha < 0")
-        s0 = alpha * self.xm
-        if s0 == 0.0:
-            if order < self.delta:
-                return (-1.0) ** order * self.moment(order)
-            raise ModelError(f"Pareto transform derivative of order {order} diverges at 0")
-        if s0 > _EXP_UNDERFLOW:
-            return 0.0
-        d, xm, n = self.delta, self.xm, order
+    def lst(self, alpha):
+        return self.lst_deriv(alpha, 0)
+
+    def lst_deriv(self, alpha, order: int = 1):
+        d, xm, n, s0 = self.delta, self.xm, order, self._scaled(alpha)
+        if n >= d and s0 == 0.0:
+            raise ModelError(f"Pareto transform derivative of order {n} diverges at 0")
         # (-1)^n E B^n exp(-alpha B) = (-1)^n d xm^n s0^(d-n) Gamma(n-d, s0)
-        if s0 <= 2.0:
-            return (-1.0) ** n * d * xm**n * _gamma_series(n - d, s0)
-        return (-1.0) ** n * d * xm**d * alpha ** (d - n) * _upper_gamma(n - d, s0)
-
-    def one_minus_lst(self, alpha: float) -> float:
-        if alpha == 0.0:
-            return 0.0
-        return self.moment(1) * alpha - self.excess_lst(alpha)
+        return (-1.0) ** n * _regions(
+            s0, (_is_zero, lambda s: self.moment(n)), (_underflows, lambda s: 0.0),
+            (_small, lambda s: d * xm**n * _gamma_series(n - d, s)),
+            (None, lambda s: d * xm**n * s ** (d - n) * _upper_gamma(n - d, s)))
 
     def moment(self, n: int) -> float:
         if n >= self.delta:
             return math.inf
         return self.delta * self.xm**n / (self.delta - n)
 
-    def excess_lst(self, alpha: float) -> float:
+    def excess_lst(self, alpha):
         """lst(alpha) - 1 + mean*alpha without subtractive cancellation.
 
         In the series form the k=0 and k=1 terms cancel the -1 and mean*alpha
         exactly, so the sum starts at k=2 and every retained digit is real.
         That is what makes small-alpha regular-variation checks meaningful.
+        Beyond s = 2 lst is tiny and mean*alpha = d/(d-1) s > 2: direct form.
         """
-        if alpha < 0.0:
-            raise ModelError("Pareto transform diverges for alpha < 0")
-        s0 = alpha * self.xm
-        if s0 == 0.0:
-            return 0.0
-        if s0 > _EXP_UNDERFLOW:
-            return self.moment(1) * alpha - 1.0
-        if s0 <= 2.0:
-            return self.delta * _gamma_series(-self.delta, s0, kmin=2)
-        # lst is tiny and mean*alpha > 2 here, so the direct form is safe
-        return self.lst(alpha) - 1.0 + self.moment(1) * alpha
+        d = self.delta
+        return _regions(self._scaled(alpha), (_is_zero, lambda s: 0.0),
+                        (_underflows, lambda s: d / (d - 1.0) * s - 1.0),
+                        (_small, lambda s: d * _gamma_series(-d, s, 2)),
+                        (None, lambda s: d * s**d * _upper_gamma(-d, s) - 1.0
+                         + d / (d - 1.0) * s))
 
     def lst_abs_tol(self) -> float:
         # gamma-form roundoff grows like 1/distance-to-pole until the
@@ -329,25 +334,22 @@ class Deterministic:
     def __post_init__(self):
         _require(self.size > 0, "Deterministic jump size must be > 0", self)
 
-    def lst(self, alpha: float) -> float:
-        return math.exp(-alpha * self.size)
+    def lst(self, alpha):
+        return _xp(alpha).exp(-alpha * self.size)
 
     def lst_deriv(self, alpha: float, order: int = 1) -> float:
         return (-self.size) ** order * math.exp(-alpha * self.size)
 
-    def one_minus_lst(self, alpha: float) -> float:
-        return -math.expm1(-alpha * self.size)
-
     def moment(self, n: int) -> float:
         return self.size**n
 
-    def excess_lst(self, alpha: float) -> float:
+    def excess_lst(self, alpha):
         """exp(-x) - 1 + x at x = alpha*size; the exponential series from
         its x^2 term while |x| <= 1/2."""
-        x = alpha * self.size
-        if abs(x) > 0.5:
-            return self.lst(alpha) - 1.0 + x
-        return _series_from_square(0.5 * x * x, lambda j: -x / (j + 1))
+        coefs, lims = _excess_terms(0)
+        return _regions(alpha * self.size,
+                        (lambda x: abs(x) > 0.5, lambda x: _xp(x).exp(-x) - 1.0 + x),
+                        (None, lambda x: x * x * _horner(coefs, lims, x)))
 
     def lst_abs_tol(self) -> float:
         return 0.0
@@ -381,7 +383,7 @@ class BrownianDrift:
     def __post_init__(self):
         _require(self.sigma2 >= 0, "sigma2 must be >= 0", self)
 
-    def phi(self, alpha: float) -> float:
+    def phi(self, alpha):
         return alpha * (-self.c + 0.5 * self.sigma2 * alpha)
 
     def phi_dn(self, alpha: float, n: int) -> float:
@@ -390,7 +392,7 @@ class BrownianDrift:
             return -self.c + self.sigma2 * alpha
         return self.sigma2 if n == 2 else 0.0
 
-    def phi_over_alpha(self, alpha: float) -> float:
+    def phi_over_alpha(self, alpha):
         return -self.c + 0.5 * self.sigma2 * alpha
 
     def cumulant(self, n: int) -> float:
@@ -433,24 +435,26 @@ class CppMinusDrift:
                  "jumps is BrownianDrift(-d, 0))", self)
         _require(self.jumps is not None, "gamma > 0 requires a jump distribution", self)
 
-    def phi(self, alpha: float) -> float:
-        return self.d * alpha - self.gamma * self.jumps.one_minus_lst(alpha)
+    def phi(self, alpha):
+        return alpha * self.phi_over_alpha(alpha)
 
     def phi_dn(self, alpha: float, n: int) -> float:
         """The n-th derivative of phi, n >= 1."""
         return (self.d if n == 1 else 0.0) + self.gamma * self.jumps.lst_deriv(alpha, n)
 
-    def phi_over_alpha(self, alpha: float) -> float:
+    def phi_over_alpha(self, alpha):
         """phi(alpha)/alpha without cancellation, finite at alpha = 0.
 
         Writing 1 - beta(alpha) = mean*alpha - excess(alpha) turns the ratio
         into (d - gamma*mean) + gamma*excess(alpha)/alpha, which stays
-        accurate however small alpha gets.
+        accurate however small alpha gets. Beyond mean*alpha = 1, where its
+        terms cancel if gamma*mean >> d, it is d - gamma*(1 - beta(alpha))/alpha.
         """
-        base = self.d - self.gamma * self.jumps.moment(1)
-        if alpha == 0.0:
-            return base
-        return base + self.gamma * self.jumps.excess_lst(alpha) / alpha
+        d, g, jumps = self.d, self.gamma, self.jumps
+        mean = jumps.moment(1)
+        return _regions(alpha, (_is_zero, lambda a: d - g * mean),
+                        (lambda a: mean * a > 1.0, lambda a: d - g * (1.0 - jumps.lst(a)) / a),
+                        (None, lambda a: d - g * mean + g * jumps.excess_lst(a) / a))
 
     def cumulant(self, n: int) -> float:
         """c_n = (-1)^n phi^(n)(0), n >= 0; +infinity when the jump moment diverges."""
@@ -484,13 +488,13 @@ class Sum:
             _require(isinstance(p, (BrownianDrift, CppMinusDrift)),
                      "Sum parts must be BrownianDrift or CppMinusDrift", self)
 
-    def phi(self, alpha: float) -> float:
+    def phi(self, alpha):
         return sum(p.phi(alpha) for p in self.parts)
 
     def phi_dn(self, alpha: float, n: int) -> float:
         return sum(p.phi_dn(alpha, n) for p in self.parts)
 
-    def phi_over_alpha(self, alpha: float) -> float:
+    def phi_over_alpha(self, alpha):
         return sum(p.phi_over_alpha(alpha) for p in self.parts)
 
     def cumulant(self, n: int) -> float:
@@ -503,10 +507,7 @@ class Sum:
         return sum(p.drift_rate() for p in self.parts)
 
     def jump_parts(self) -> tuple:
-        out = ()
-        for p in self.parts:
-            out = out + p.jump_parts()
-        return out
+        return sum((p.jump_parts() for p in self.parts), ())
 
     def min_alpha(self) -> float:
         return max(p.min_alpha() for p in self.parts)

@@ -40,12 +40,14 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
+from numpy.polynomial import polyutils as pu
+from numpy.polynomial.chebyshev import chebint
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 
 from .errors import (DomainError, ModelError, QuadratureFailure,
                      SubordinatorInput)
-from .models import CppMinusDrift, LevyModel, Pareto
+from .models import CppMinusDrift, LevyModel, Pareto, _regions
 
 __all__ = [
     "find_alpha_lambda",
@@ -245,12 +247,10 @@ def _eval_pieces(pieces: tuple, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poly_no_constant(u: np.ndarray, coef: Sequence[float]) -> np.ndarray:
-    """sum_k coef[k-1] * u^k for k = 1..len(coef), by Horner's rule."""
-    poly = np.zeros_like(u)
-    for c in reversed(coef):
-        poly = u * (c + poly)
-    return poly
+def _dct1(v: np.ndarray) -> np.ndarray:
+    """sum_k v_k cos(pi j k/n) (the ends' terms halved) for j = 0..n, twice
+    over: the real FFT of the even extension of v, n = len(v) - 1."""
+    return np.fft.rfft(np.concatenate((v, v[-2:0:-1]))).real
 
 
 _EPS = 2.2e-16
@@ -258,10 +258,10 @@ _EPS = 2.2e-16
 # keeps its truncation below the direct formulas' cancellation noise)
 _SERIES_MAX = 8
 
-# split-on-failure remainder pieces: the least factor by which a degree rung
-# must cut the probe error of the previous one, the deepest cut, and the
-# width (relative to the root) below which a failing piece [0, b] is left to
-# the sliver integral
+# split-on-failure remainder pieces: the least factor by which a rung must
+# cut the measured error of the previous one, the deepest cut, and the width
+# (relative to the root) below which a piece [0, b] is left to the sliver
+# integral
 _RUNG_GAIN = 100.0
 _SPLIT_DEPTH = 12
 _SLIVER = 2.0 ** -16
@@ -344,17 +344,14 @@ class StationarySolution:
         if len(ders) < 5:
             raise self._failure("too few phi derivatives at the root for the "
                                 "remainder expansion")
-        xser = [0.0] * (len(ders) + 1)
-        for k in range(1, len(ders) + 1):
-            xser[k] = (-1.0) ** (k + 1) * ders[k - 1] / (math.factorial(k + 1) * p)
+        xser = [0.0] + [(-1.0) ** (k + 1) * ders[k - 1] / (math.factorial(k + 1) * p)
+                        for k in range(1, len(ders) + 1)]
         aser = [1.0] + [0.0] * len(ders)
         for m in range(1, len(ders) + 1):
             aser[m] = sum(xser[k] * aser[m - k] for k in range(1, m + 1))
-        ecoef = [0.0] * (len(ders) + 1)
-        for m in range(1, len(ders) + 1):
-            ecoef[m] = sum(aser[i] * A ** (i - m) for i in range(m + 1))
-        self._M = len(ders) - 2
-        self._e = ecoef
+        ecoef = [0.0] + [sum(aser[i] * A ** (i - m) for i in range(m + 1))
+                         for m in range(1, len(ders) + 1)]
+        self._M, self._e = len(ders) - 2, ecoef
         self._w = 0.03 * A
         self._band_cw = sum(ecoef[k] * self._w**k / k for k in range(1, self._M + 1))
         self._band_coef = [ecoef[k] / k for k in range(1, self._M + 1)]
@@ -384,11 +381,12 @@ class StationarySolution:
 
         rtol_direct = max(2.5e-11, 4.0 * self.K * self._dA_est / self._w**2)
         self._inner, self._outer = ([], [], [0.0]), ([], [], [0.0])
-        self._build_pieces(self._left_integrand, lo, 0.5 * A, "inner remainder, left piece",
-                           (32, 64, 128, 256, 512), 1e-11, self._inner)
+        mid = self._build_pieces(self._left_integrand, lo, 0.5 * A,
+                                 "inner remainder, left piece", (32, 64, 128, 256, 512),
+                                 1e-11, self._inner)
         self._build_pieces(self._left_integrand, 0.5 * A, self._band_lo_x,
                            "inner remainder, middle piece", (64, 128, 256, 512),
-                           rtol_direct, self._inner)
+                           rtol_direct, self._inner, ends=(mid, None))
         self._build_pieces(self._rho_above, self._vw, 1.0, "outer remainder",
                            (64, 128, 256, 512), rtol_direct, self._outer)
         self._Q_bandhi = float(self._Q(np.array([A + self._w]))[0])
@@ -403,15 +401,15 @@ class StationarySolution:
         self._gA = gA
         self.b = 1.0 / gA
 
-        d_eff = self._d_eff
-        self.atom = 0.0 if math.isinf(d_eff) else lam * self.b / ((1.0 + theta) * d_eff)
+        self.atom = (0.0 if math.isinf(self._d_eff)
+                     else lam * self.b / ((1.0 + theta) * self._d_eff))
 
     def _failure(self, what: str) -> QuadratureFailure:
         return QuadratureFailure(what + _naming(self.model, self.lam, self.theta))
 
     # -- exponent remainders -------------------------------------------------
 
-    def _left_integrand(self, y: float) -> float:
+    def _left_integrand(self, y):
         """h(y) - K/(A-y), direct form, used left of the band; removable at 0."""
         lam, A, K = self.lam, self.alpha_lambda, self.K
         poa = self.model.phi_over_alpha(y)
@@ -422,15 +420,7 @@ class StationarySolution:
         the integrand is bounded with a weak y^(delta-1) kink, and a 64-point
         Gauss rule leaves an error far below the piece tolerance there."""
         T, W = _legendre_rule(64)
-        return np.array([x * float(W @ np.array([self._left_integrand(x * t) for t in T]))
-                         for x in xs.tolist()])
-
-    def _r_series(self, u: float) -> float:
-        """Remainder below the root from the expansion, u = A - y."""
-        acc = 0.0
-        for k in range(self._M, 0, -1):
-            acc = u * acc + self._e[k]
-        return self.K * acc - 1.0 / (self.alpha_lambda - u)
+        return xs * (self._left_integrand(xs[:, None] * T) @ W)
 
     def _check_root_series(self) -> None:
         """Cross-check expansion vs direct remainder where both are accurate:
@@ -438,86 +428,92 @@ class StationarySolution:
         root-shift noise K*dA/u^2 and the expansion its truncation tail, so a
         mismatch beyond both means one is wrong (bad derivative, underestimated
         transform noise), and the whole solution would be silently off."""
-        A, K = self.alpha_lambda, self.K
-        e, M = self._e, self._M
-        scale = K * (abs(e[1]) + 1.0 / A)
-        for fac in (1.0, 1.25, 1.6, 2.0):
-            u = fac * self._w
-            trunc = K * (abs(e[M + 1]) * u**M + abs(e[M + 2]) * u ** (M + 1))
-            gate = 6.0 * (K * self._dA_est / u**2 + trunc) + 5e-11 * scale
-            diff = abs(self._r_series(u) - self._left_integrand(A - u))
-            if diff > gate:
-                raise self._failure(
-                    "root expansion of the remainder disagrees with the "
-                    f"direct formula at distance {u:.3e} from the root "
-                    f"({diff:.3e} > {gate:.3e})")
+        A, K, e, M = self.alpha_lambda, self.K, self._e, self._M
+        u = np.array([1.0, 1.25, 1.6, 2.0]) * self._w
+        trunc = K * (abs(e[M + 1]) * u**M + abs(e[M + 2]) * u ** (M + 1))
+        gate = 6.0 * (K * self._dA_est / u**2 + trunc) + 5e-11 * K * (abs(e[1]) + 1.0 / A)
+        diff = np.abs(K * polyval(u, e[1:M + 1]) - 1.0 / (A - u) - self._left_integrand(A - u))
+        for u, diff, gate in zip(u[diff > gate], diff[diff > gate], gate[diff > gate]):
+            raise self._failure("root expansion of the remainder disagrees with the "
+                                f"direct formula at distance {u:.3e} from the root "
+                                f"({diff:.3e} > {gate:.3e})")
 
-    def _rho_above(self, v: float) -> float:
+    def _rho_above(self, v):
         """Regular outer remainder mapped via y = A/(1-v), for v in [vw, 1]:
-        rho(y) = lam/(y(phi-lam)) - K*A/(y(y-A)) decays like 1/y^2, so this
-        stays bounded up to v = 1 and serves every alpha beyond the band."""
-        m, lam, A, K = self.model, self.lam, self.alpha_lambda, self.K
-        if v >= 1.0:
-            lim = 0.0 if math.isinf(self._d_eff) else lam / self._d_eff
-            return (lim - K * A) / A
-        y = A / (1.0 - v)
-        rho = lam / (y * (m.phi(y) - lam)) - K * A / (y * (y - A))
-        return rho * A / (1.0 - v) ** 2
+        rho(y) = lam/(y(phi-lam)) - K*A/(y(y-A)) decays like 1/y^2, so
+        rho(y) A/(1-v)^2 = lam/(A phi(y)/y - lam (1-v)) - K/v stays bounded
+        up to v = 1, where phi(y)/y is _d_eff, and serves every alpha beyond
+        the band."""
+        lam, A = self.lam, self.alpha_lambda
+        poa = _regions(v, (lambda v: v >= 1.0, lambda v: self._d_eff),
+                       (None, lambda v: self.model.phi_over_alpha(A / (1.0 - v))))
+        return lam / (A * poa - lam * (1.0 - v)) - self.K / v
 
-    def _build_pieces(self, fun: Callable[[float], float], a: float, b: float,
-                      what: str, degrees: Sequence[int], rtol: float,
-                      pieces: tuple, depth: int = 0) -> None:
+    def _build_pieces(self, fun: Callable, a: float, b: float, what: str,
+                      degrees: Sequence[int], rtol: float, pieces: tuple, depth: int = 0,
+                      ends: tuple = (None, None)) -> Optional[float]:
         """Append Chebyshev antiderivatives of fun on [a, b] to the (edges,
         antiderivatives, offsets) lists `pieces`, splitting where the ladder
-        fails (Chebfun's "splitting on"). Each degree is checked at 29 probes
-        clustered like the Chebyshev points; a rung that gains less than
-        _RUNG_GAIN over the previous one means more than one scale or a noise
-        plateau, so the interval is cut 1/8 of its width from an endpoint that
-        is the worst probe, else at its midpoint. An accepted rung is chopped:
-        trailing coefficients whose absolute sum is at most
-        min(err, rtol*scale - err) are dropped (Aurentz & Trefethen). A piece
-        [0, b] with b <= _SLIVER * root holds the kink of a jump transform with
-        a branch point at zero and goes to _R_inner at once."""
+        fails (Chebfun's "splitting on"); return fun(b) if sampled. Rung n of
+        the doubling ladder `degrees` samples, in one call, the points
+        cos(pi j/n) of [a, b] the rung below lacks, and a DCT-I gives its
+        coefficients; its error is its largest miss at the points rung 2n
+        adds. Gaining less than _RUNG_GAIN over the rung below means several
+        scales or a noise plateau: the interval is cut 1/8 of its width from
+        the end whose outer eighth holds the worst miss, else at its middle.
+        An accepted rung drops the trailing coefficients whose absolute sum is
+        at most min(err, rtol*scale - err) (Aurentz & Trefethen). `ends` holds
+        fun at a and b where a neighbour sampled it. _R_inner takes a piece
+        [0, b <= _SLIVER * root], the kink of a branch point at zero."""
         if a == 0.0 and b <= _SLIVER * self.alpha_lambda:
-            anti = self._R_inner
+            anti, fb = self._R_inner, ends[1]
         else:
-            def batch(xs):
-                return np.array([fun(float(t)) for t in np.atleast_1d(xs)])
+            def at(n, j):  # the points cos(pi j/n) of [a, b], symmetric in j
+                return 0.5 * (a + b) + 0.5 * (b - a) * np.sin(np.pi * (n - 2 * j) / (2 * n))
 
-            probes = a + (b - a) * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 29)))
-            direct = batch(probes)
-            scale = max(1.0, float(np.max(np.abs(direct))))
+            n = degrees[0]
+            xs = np.concatenate(([b], at(n, np.arange(1.0, n)), [a]))
+            vals = np.array([ends[1]] + [None] * (n - 1) + [ends[0]], dtype=float)
+            vals[np.isnan(vals)] = fun(xs[np.isnan(vals)])
             prev = math.inf
-            for deg in degrees:
-                interp = Chebyshev.interpolate(batch, deg, domain=[a, b])
-                miss = np.abs(interp(probes) - direct)
-                err = float(np.max(miss))
+            for n in degrees:
+                coef = _dct1(vals) / n
+                coef[[0, n]] *= 0.5
+                new_x = at(2 * n, np.arange(1.0, 2 * n, 2.0))
+                new = fun(new_x)
+                miss = np.abs(0.5 * (_dct1(np.append(coef, np.zeros(n)))[1::2] + coef[0]) - new)
+                vals = np.insert(vals, np.arange(1, n + 1), new)
+                err, scale = float(np.max(miss)), max(1.0, float(np.max(np.abs(vals))))
                 if err <= rtol * scale or not err * _RUNG_GAIN <= prev:
                     break
                 prev = err
+            fb = float(vals[0])
             if not err <= rtol * scale:
                 if depth == _SPLIT_DEPTH:
                     raise self._failure(f"{what} did not converge on a Chebyshev grid on "
                                         f"[{a:.6g}, {b:.6g}] after {depth} splits")
-                worst = int(np.argmax(miss))
-                cut = (a + (b - a) / 8.0 if worst == 0 else
-                       b - (b - a) / 8.0 if worst == len(probes) - 1 else 0.5 * (a + b))
-                self._build_pieces(fun, a, cut, what, degrees, rtol, pieces, depth + 1)
-                return self._build_pieces(fun, cut, b, what, degrees, rtol, pieces, depth + 1)
+                worst, eighth = new_x[np.argmax(miss)], (b - a) / 8.0
+                cut = (a + eighth if worst < a + eighth else
+                       b - eighth if worst > b - eighth else 0.5 * (a + b))
+                fcut = self._build_pieces(fun, a, cut, what, degrees, rtol, pieces, depth + 1,
+                                          (vals[-1], vals[n] if cut == 0.5 * (a + b) else None))
+                return self._build_pieces(fun, cut, b, what, degrees, rtol, pieces, depth + 1,
+                                          (fcut, fb))
             # |T_k| <= 1, so the dropped tail moves the series by at most the
-            # budget anywhere on [a, b]: the probe error stays within the gate
+            # budget anywhere on [a, b]: the measured error stays within the gate
             budget = min(err, rtol * scale - err)
-            tail = np.cumsum(np.abs(interp.coef[::-1]))[::-1]
-            integ = interp.truncate(max(1, int(np.count_nonzero(tail > budget)))).integ(lbnd=a)
-            anti = (integ.coef, *(float(v) for v in integ.mapparms()))
+            tail = np.cumsum(np.abs(coef[::-1]))[::-1]
+            off, scl = pu.mapparms((a, b), (-1.0, 1.0))
+            anti = (chebint(coef[:max(1, int(np.count_nonzero(tail > budget)))],
+                            lbnd=off + scl * a, scl=1.0 / scl), off, scl)
         edges, antis, offsets = pieces
         edges.append(a)
         antis.append(anti)
         offsets.append(offsets[-1] + float(_eval_pieces(([a], [anti], [0.0]), np.array([b]))[0]))
+        return fb
 
     def _R(self, xs: np.ndarray) -> np.ndarray:
         """Antiderivative of the inner remainder r, continuous on [lo, A]."""
-        xs = np.asarray(xs, dtype=float)
         out = np.empty_like(xs)
         band = xs > self._band_lo_x
         out[~band] = _eval_pieces(self._inner, xs[~band])
@@ -525,7 +521,7 @@ class StationarySolution:
             # closed-form integral of the root expansion on (A-w, A]
             A, xb = self.alpha_lambda, xs[band]
             out[band] = (self._inner[2][-1] + np.log((A - self._w) / xb) + self.K * (
-                self._band_cw - _poly_no_constant(A - xb, self._band_coef)))
+                self._band_cw - (A - xb) * polyval(A - xb, self._band_coef)))
         return out
 
     def _Q(self, xs: np.ndarray) -> np.ndarray:
@@ -536,8 +532,7 @@ class StationarySolution:
         band = xs <= A + self._w
         if band.any():
             xb = xs[band]
-            out[band] = self.K * (np.log(xb / A)
-                                  + _poly_no_constant(xb - A, self._qband_coef))
+            out[band] = self.K * (np.log(xb / A) + (xb - A) * polyval(xb - A, self._qband_coef))
         if not band.all():
             out[~band] = self._Q_bandhi + _eval_pieces(self._outer, 1.0 - A / xs[~band])
         return out
@@ -653,8 +648,8 @@ class StationarySolution:
             cuts = (np.flatnonzero(np.diff((np.cumsum(n) - n) // _CHUNK)) + 1).tolist()
             for i, j in zip([0] + cuts, cuts + [idx.size]):
                 sel, k, a = idx[i:j], keys[i:j], alphas[idx[i:j]]
-                one_minus = 1.0 - np.array([self.model.phi(float(x)) for x in a]) / self.lam
-                out[sel] = self.b * (A - a) / one_minus * self._integrals(*self._rule_rows(a, k))
+                out[sel] = (self.b * (A - a) / (1.0 - self.model.phi(a) / self.lam)
+                            * self._integrals(*self._rule_rows(a, k)))
         out[alphas == 0.0] = 1.0
         return out
 

@@ -228,6 +228,18 @@ def test_overrides_and_direct_construction_meet_the_key_conditions(tmp_path, cap
     assert got.out == "" and not out.exists()
 
 
+def test_none_in_a_compared_field_names_its_condition():
+    # a condition that compares raised a bare TypeError on None
+    cfg = parse_config(MM1_TEXT)
+    with pytest.raises(ValidationError, match="^lambda must be > 0$"):
+        RunConfig(cfg.model, cfg.collapse, None)
+    for field, message in (("n_samples", "n_samples must be > 0"),
+                           ("threads", "threads must be >= 1"),
+                           ("alphas", "alphas must be >= 0")):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            replace(cfg, **{field: None})
+
+
 # ---------------------------------------------------------------------------
 # run entry points
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ from levy_collapse import (
     Exponential,
     ModelError,
     Pareto,
+    StationarySolution,
     Sum,
     Uniform01,
+    fixed_point_residual,
 )
 from levy_collapse import models
 
@@ -329,6 +331,107 @@ def test_invalid_model_errors_name_the_model(named):
     with pytest.raises(ModelError) as err:
         INVALID[named]()
     assert str(err.value).endswith(": " + named)
+
+
+# ---------------------------------------------------------------------------
+# float/array contract of the model layer
+# ---------------------------------------------------------------------------
+
+LAWS = (Exponential(2.0), Erlang(3, 1.5), Erlang(1, 0.7), Deterministic(1.2),
+        Pareto(1.5, 1.0 / 3.0), Pareto(2.0004, 0.4), Pareto(3.0, 0.5))
+DET_SUM = Sum((BrownianDrift(0.3, 1.5), CppMinusDrift(0.6, 0.4, Deterministic(0.5))))
+PROCESSES = (BM, BrownianDrift(-0.7, 3.0), MIX, DET_SUM) + tuple(
+    CppMinusDrift(1.3, 0.9, jumps) for jumps in LAWS)
+
+
+def _contract_inputs(obj):
+    """0, the negative margin, 1e-300, 1e-8, 1e3, and each edge where a
+    transform or exponent changes form (Pareto's s = 2 and s = 700, the
+    series limits of Erlang and deterministic jumps, mean*alpha = 1 of a
+    compound part), each with its neighbours 1 ulp away."""
+    edges = []
+    for part in getattr(obj, "parts", (obj,)):
+        jumps = getattr(part, "jumps", part)
+        if isinstance(jumps, Pareto):
+            edges += [2.0 / jumps.xm, 700.0 / jumps.xm]
+        elif isinstance(jumps, Erlang):
+            edges.append(0.5 * jumps.rate / jumps.shape)
+        elif isinstance(jumps, Deterministic):
+            edges.append(0.5 / jumps.size)
+        if jumps is not part:
+            edges.append(1.0 / jumps.moment(1))
+    lo = obj.min_alpha()
+    xs = [0.0, 1e-300, 1e-8, 1e3] + ([max(0.25 * lo, -1e-3)] if lo < 0.0 else [])
+    for x in edges:
+        xs += [float(np.nextafter(x, -np.inf)), x, float(np.nextafter(x, np.inf))]
+    return xs
+
+
+@pytest.mark.parametrize("obj", LAWS + PROCESSES, ids=repr)
+def test_model_layer_takes_a_float_or_an_array(obj):
+    # a float gives a Python float, an array one of its shape, and the two
+    # agree element by element
+    xs = _contract_inputs(obj)
+    names = ("phi", "phi_over_alpha") if hasattr(obj, "phi") else ("lst", "excess_lst")
+    for name in names:
+        fun = getattr(obj, name)
+        scalar = np.array([fun(x) for x in xs])
+        assert all(type(fun(x)) is float for x in xs), name
+        got = fun(np.array(xs).reshape(1, -1))
+        assert isinstance(got, np.ndarray) and got.shape == (1, len(xs)), name
+        assert np.all(np.abs(got[0] - scalar) <= 1e-15 * np.abs(scalar)), (
+            name, np.array(xs)[np.abs(got[0] - scalar) > 1e-15 * np.abs(scalar)])
+    if isinstance(obj, Pareto):
+        with pytest.raises(ModelError, match="alpha < 0"):
+            obj.lst(np.array([1.0, -1e-3]))
+
+
+@pytest.mark.parametrize("model", (BM, MM1, DET_SUM, CATALOG[5]), ids=repr)
+def test_solution_results_are_python_floats(model):
+    # a numpy scalar would leak into CSV writers and JSON dumps
+    sol = StationarySolution(model, 1.0, 1.3)
+    A = sol.alpha_lambda
+    values = [A, sol.b, sol.atom, sol.mean_lst_collapsed(A),
+              fixed_point_residual(model, 1.0, 1.3, 1.5 * A)]
+    values += [sol.lst(a * A) for a in (0.0, 0.5, 1.0, 2.0)] + sol.moments(2)
+    assert all(type(v) is float for v in values), [type(v) for v in values]
+
+
+@pytest.mark.parametrize("model", (BM, MM1, CATALOG[5]), ids=repr)
+def test_builder_samples_each_rung_once_and_no_point_twice(monkeypatch, model):
+    # every remainder piece samples its first rung in one call and then,
+    # per rung n, only the n points rung 2n adds; pieces next to each other
+    # pass on their shared end
+    build = StationarySolution._build_pieces
+    integrand = StationarySolution._left_integrand
+    frames, calls = [], []
+
+    def traced_build(self, fun, a, b, what, degrees, *args, **kwargs):
+        frames.append((a, b, degrees[0], len(calls)))
+        try:
+            return build(self, fun, a, b, what, degrees, *args, **kwargs)
+        finally:
+            frames.pop()
+
+    def traced_integrand(self, y):
+        if frames and np.ndim(y) == 1:
+            calls.append((frames[-1], np.array(y)))
+        return integrand(self, y)
+
+    monkeypatch.setattr(StationarySolution, "_build_pieces", traced_build)
+    monkeypatch.setattr(StationarySolution, "_left_integrand", traced_integrand)
+    StationarySolution(model, 1.0, 1.0)
+    pieces = {}
+    for frame, y in calls:
+        pieces.setdefault(frame, []).append(y)
+    assert len(pieces) >= 2
+    for (a, b, n0, _), ys in pieces.items():
+        sizes = [y.size for y in ys]
+        assert n0 - 1 <= sizes[0] <= n0 + 1, sizes
+        assert sizes[1:] == [n0 * 2**k for k in range(len(ys) - 1)], sizes
+        assert all(np.all((a <= y) & (y <= b)) for y in ys)
+    points = np.concatenate([y for _, y in calls])
+    assert np.unique(points).size == points.size
 
 
 # ---------------------------------------------------------------------------

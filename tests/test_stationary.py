@@ -911,7 +911,7 @@ def _assert_names_the_model(err, text, model, lam, theta):
 
 def test_remainder_piece_failure_names_the_model(monkeypatch):
     monkeypatch.setattr(stationary.StationarySolution, "_rho_above",
-                        lambda self, v: math.nan)
+                        lambda self, v: np.full(np.shape(v), math.nan))
     with pytest.raises(QuadratureFailure) as err:
         stationary.StationarySolution(MM1, 0.7, 1.3)
     _assert_names_the_model(err, "outer remainder did not converge", MM1, 0.7, 1.3)
@@ -939,7 +939,7 @@ def test_remainder_split_stops_at_the_depth_cap(monkeypatch, method, text):
 
     def with_a_jump(self, x):
         at = 0.6180339887 if method == "_rho_above" else 0.1234567 * self.alpha_lambda
-        return smooth(self, x) + float(x < at)
+        return smooth(self, x) + (np.asarray(x) < at)
 
     monkeypatch.setattr(stationary.StationarySolution, method, with_a_jump)
     with pytest.raises(QuadratureFailure) as err:

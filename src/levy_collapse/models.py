@@ -103,24 +103,20 @@ def _truncation(coefs: tuple) -> list:
 
 
 def _upper_gamma(a: float, z):
-    """Upper incomplete gamma Gamma(a, z) for z > 2 and real a.
+    """Upper incomplete gamma Gamma(a, z) for z > 2 and real a <= z + 1.
 
     Legendre's continued fraction (DLMF 8.9.2), run backward from a depth
     set by the least z of the call (forward Lentz needs at most 70 steps at
     z = 2.0001, 6 at z = 700, for |a| <= 12): no pole at the non-positive
     integers, and relative accuracy where Gamma(a, z) is as small as e^-z.
-    Above z + 1 (9e-9 at a = 12, z = 2) a float z, which only the highest
-    derivatives of the root series ask for, takes Gamma(a) - gamma(a, z),
-    the lower function by its series of positive terms (DLMF 8.7.1)."""
-    if not isinstance(z, np.ndarray) and a > z + 1.0:
-        term = total = 1.0 / a
-        k = 1
-        while term > 1e-17 * total:
-            term *= z / (a + k)
-            total += term
-            k += 1
-        return math.gamma(a) - z**a * math.exp(-z) * total
-    depth = 12 + math.ceil(120.0 / _least(z))
+    Above z + 1 it would lose digits (9e-9 at a = 12, z = 2), so it refuses:
+    the package asks for a = n - delta < 1 only, n <= 2 the order of the
+    Pareto transform, and higher orders are served for z >= a - 1."""
+    zmin = _least(z)
+    if a > zmin + 1.0:
+        raise ModelError(f"upper incomplete gamma of order {a:g} is not served "
+                         f"below z = {a - 1.0:g} (a Pareto transform derivative of high order)")
+    depth = 12 + math.ceil(120.0 / zmin)
     h = z + (2 * depth + 1 - a)
     for i in range(depth, 0, -1):
         h = (z + (2 * i - 1 - a)) - i * (i - a) / h
@@ -191,7 +187,7 @@ class Exponential:
     def lst(self, alpha):
         return self.mu / (self.mu + alpha)
 
-    def lst_deriv(self, alpha: float, order: int = 1) -> float:
+    def lst_deriv(self, alpha, order: int = 1):
         # d^n/da^n mu/(mu+a) = (-1)^n n! mu / (mu+a)^{n+1}
         return (-1.0) ** order * math.factorial(order) * self.mu / (self.mu + alpha) ** (order + 1)
 
@@ -227,7 +223,7 @@ class Erlang:
     def lst(self, alpha):
         return _xp(alpha).exp(-self.shape * _xp(alpha).log1p(alpha / self.rate))
 
-    def lst_deriv(self, alpha: float, order: int = 1) -> float:
+    def lst_deriv(self, alpha, order: int = 1):
         # (r/(r+a))^k picks up a rising factorial per derivative order.
         k, r = self.shape, self.rate
         rising = math.prod(range(k, k + order))
@@ -283,7 +279,7 @@ class Pareto:
 
     def lst_deriv(self, alpha, order: int = 1):
         d, xm, n, s0 = self.delta, self.xm, order, self._scaled(alpha)
-        if n >= d and s0 == 0.0:
+        if n >= d and _least(s0) == 0.0:
             raise ModelError(f"Pareto transform derivative of order {n} diverges at 0")
         # (-1)^n E B^n exp(-alpha B) = (-1)^n d xm^n s0^(d-n) Gamma(n-d, s0)
         return (-1.0) ** n * _regions(
@@ -337,8 +333,8 @@ class Deterministic:
     def lst(self, alpha):
         return _xp(alpha).exp(-alpha * self.size)
 
-    def lst_deriv(self, alpha: float, order: int = 1) -> float:
-        return (-self.size) ** order * math.exp(-alpha * self.size)
+    def lst_deriv(self, alpha, order: int = 1):
+        return (-self.size) ** order * _xp(alpha).exp(-alpha * self.size)
 
     def moment(self, n: int) -> float:
         return self.size**n
@@ -386,11 +382,11 @@ class BrownianDrift:
     def phi(self, alpha):
         return alpha * (-self.c + 0.5 * self.sigma2 * alpha)
 
-    def phi_dn(self, alpha: float, n: int) -> float:
-        """The n-th derivative of phi, n >= 1."""
+    def phi_dn(self, alpha, n: int):
+        """The n-th derivative of phi, n >= 1 (the package asks for n <= 2)."""
         if n == 1:
             return -self.c + self.sigma2 * alpha
-        return self.sigma2 if n == 2 else 0.0
+        return (self.sigma2 if n == 2 else 0.0) + 0.0 * alpha
 
     def phi_over_alpha(self, alpha):
         return -self.c + 0.5 * self.sigma2 * alpha
@@ -438,8 +434,8 @@ class CppMinusDrift:
     def phi(self, alpha):
         return alpha * self.phi_over_alpha(alpha)
 
-    def phi_dn(self, alpha: float, n: int) -> float:
-        """The n-th derivative of phi, n >= 1."""
+    def phi_dn(self, alpha, n: int):
+        """The n-th derivative of phi, n >= 1 (the package asks for n <= 2)."""
         return (self.d if n == 1 else 0.0) + self.gamma * self.jumps.lst_deriv(alpha, n)
 
     def phi_over_alpha(self, alpha):
@@ -491,7 +487,7 @@ class Sum:
     def phi(self, alpha):
         return sum(p.phi(alpha) for p in self.parts)
 
-    def phi_dn(self, alpha: float, n: int) -> float:
+    def phi_dn(self, alpha, n: int):
         return sum(p.phi_dn(alpha, n) for p in self.parts)
 
     def phi_over_alpha(self, alpha):

@@ -19,14 +19,13 @@ h is never integrated directly: the exact identity
 
 isolates the simple pole, the singular part
 K / (root - y), K = lam / (root * phi'(root)), integrates in closed form,
-and only the regular remainder r(y) is handled numerically. Away from the
-root r is sampled into Chebyshev antiderivatives, piecewise where one
-piece does not converge (the interval is split), and each stored series is
-chopped to the error its piece was accepted at; inside a narrow band
-around the root, where the direct formula turns into 0/0 and loses two
-digits per decade, r is replaced by its Taylor expansion (coefficients from
-a convolution recurrence on the derivatives of phi) and integrated in
-closed form. The closed-form factors become the endpoint weight s^(theta K)
+and only the regular remainder r(y) is handled numerically. r is sampled
+into Chebyshev antiderivatives up to the root and beyond it, piecewise
+where one piece does not converge (the interval is split), and each stored
+series is chopped to the error its piece was accepted at. Next to the
+root, where the direct formula turns into 0/0 and loses two digits per
+decade, r comes from averages of phi' and phi'' between y and the root,
+with no 0/0. The closed-form factors become the endpoint weight s^(theta K)
 of one integral over s = (root - x)/(root - alpha) in [0, 1]: below the
 root a Gauss-Jacobi piece on [0, 1/2], then Gauss-Legendre pieces halving
 toward s = 1 as deep as alpha's distance to x = 0, the kink of heavy-tailed
@@ -43,7 +42,6 @@ import numpy as np
 from numpy.polynomial import polyutils as pu
 from numpy.polynomial.chebyshev import chebint
 from numpy.polynomial.legendre import leggauss
-from numpy.polynomial.polynomial import polyval
 
 from .errors import (DomainError, ModelError, QuadratureFailure,
                      SubordinatorInput)
@@ -254,9 +252,10 @@ def _dct1(v: np.ndarray) -> np.ndarray:
 
 
 _EPS = 2.2e-16
-# order of the root expansion of the remainders (half-width 0.03 * root
-# keeps its truncation below the direct formulas' cancellation noise)
-_SERIES_MAX = 8
+# distance to the root (relative to it) within which the remainders take the
+# divided-difference form: beyond it the direct formulas' noise K*dA/u^2 at
+# distance u stays under the gate the pieces are built to
+_CUT = 0.1
 
 # split-on-failure remainder pieces: the least factor by which a rung must
 # cut the measured error of the previous one, the deepest cut, and the width
@@ -330,33 +329,6 @@ class StationarySolution:
         # value and the atom: the drain rate, or inf with a Brownian part
         self._d_eff = math.inf if model.sigma2_total() > 0 else -model.drift_rate()
 
-        # expansion of the remainders around the root: with lam - phi(A-u) =
-        # p*u*(1 - x(u)), 1/(1-x) follows from a convolution recurrence and
-        # r(A-u) = K * sum_k e_k u^(k-1) - 1/(A-u), alternating in sign above
-        # the root. Two spare orders feed the truncation estimate; transforms
-        # that refuse the highest derivatives run the expansion shorter.
-        ders = []
-        for j in range(2, _SERIES_MAX + 4):
-            try:
-                ders.append(model.phi_dn(A, j))
-            except ModelError:
-                break
-        if len(ders) < 5:
-            raise self._failure("too few phi derivatives at the root for the "
-                                "remainder expansion")
-        xser = [0.0] + [(-1.0) ** (k + 1) * ders[k - 1] / (math.factorial(k + 1) * p)
-                        for k in range(1, len(ders) + 1)]
-        aser = [1.0] + [0.0] * len(ders)
-        for m in range(1, len(ders) + 1):
-            aser[m] = sum(xser[k] * aser[m - k] for k in range(1, m + 1))
-        ecoef = [0.0] + [sum(aser[i] * A ** (i - m) for i in range(m + 1))
-                         for m in range(1, len(ders) + 1)]
-        self._M, self._e = len(ders) - 2, ecoef
-        self._w = 0.03 * A
-        self._band_cw = sum(ecoef[k] * self._w**k / k for k in range(1, self._M + 1))
-        self._band_coef = [ecoef[k] / k for k in range(1, self._M + 1)]
-        self._qband_coef = [(-1.0) ** k * ecoef[k] / k for k in range(1, self._M + 1)]
-
         # noise floor of the direct formulas: transform-level error shifts
         # the apparent root by dA, which the remainder feels as K*dA/u^2 at
         # distance u from the root
@@ -364,7 +336,6 @@ class StationarySolution:
         for g_rate, jumps in model.jump_parts():
             noise += g_rate * jumps.lst_abs_tol()
         self._dA_est = noise / p
-        self._check_root_series()
 
         # small negative margin so central differences at zero stay inside;
         # only for models whose transforms extend analytically below zero.
@@ -376,20 +347,17 @@ class StationarySolution:
             while model.phi(lo) > 0.5 * lam:
                 lo *= 0.5
         self._lo = lo
-        self._band_lo_x = A - self._w
-        self._vw = self._w / (A + self._w)
 
-        rtol_direct = max(2.5e-11, 4.0 * self.K * self._dA_est / self._w**2)
+        rtol_direct = max(2.5e-11, 4.0 * self.K * self._dA_est / (_CUT * A) ** 2)
         self._inner, self._outer = ([], [], [0.0]), ([], [], [0.0])
         mid = self._build_pieces(self._left_integrand, lo, 0.5 * A,
                                  "inner remainder, left piece", (32, 64, 128, 256, 512),
                                  1e-11, self._inner)
-        self._build_pieces(self._left_integrand, 0.5 * A, self._band_lo_x,
+        self._build_pieces(self._left_integrand, 0.5 * A, A,
                            "inner remainder, middle piece", (64, 128, 256, 512),
                            rtol_direct, self._inner, ends=(mid, None))
-        self._build_pieces(self._rho_above, self._vw, 1.0, "outer remainder",
+        self._build_pieces(self._rho_above, 0.0, 1.0, "outer remainder",
                            (64, 128, 256, 512), rtol_direct, self._outer)
-        self._Q_bandhi = float(self._Q(np.array([A + self._w]))[0])
         self._pieces = {}
         # where phi >= 0 the log of the transform integrand has a slope of at
         # most 2 theta in s in [1/2, 1]: end pieces of width <= 4/theta
@@ -410,10 +378,28 @@ class StationarySolution:
     # -- exponent remainders -------------------------------------------------
 
     def _left_integrand(self, y):
-        """h(y) - K/(A-y), direct form, used left of the band; removable at 0."""
+        """r(y) = h(y) - K/(A-y) for y <= A: the direct form, removable at 0,
+        beyond the cut, and `_near_root` within it."""
         lam, A, K = self.lam, self.alpha_lambda, self.K
-        poa = self.model.phi_over_alpha(y)
-        return poa / (lam - y * poa) - K / (A - y)
+
+        def direct(y):
+            poa = self.model.phi_over_alpha(y)
+            return poa / (lam - y * poa) - K / (A - y)
+        return _regions(y, (lambda y: A - y <= _CUT * A, self._near_root), (None, direct))
+
+    def _near_root(self, y):
+        """r(y) next to the root, on either side, without its 0/0: with the
+        means D = int_0^1 phi'(x_t) dt and J = int_0^1 t phi''(x_t) dt over
+        x_t = y + t (A-y) (Hermite-Genocchi; 12 Gauss-Legendre nodes: 6
+        already reach rounding on the cut, but are no faster),
+        lam - phi(y) = (A-y) D and A phi'(A) - y D = (A-y) (phi'(A) + y J), so
+        r(y) = (lam (phi'(A) + y J) - A phi'(A) D) / (y D A phi'(A))."""
+        A, p = self.alpha_lambda, self.phi_prime_root
+        T, W = _legendre_rule(12)
+        yc = np.expand_dims(y, -1)
+        x = yc + (A - yc) * T
+        D, J = self.model.phi_dn(x, 1) @ W, self.model.phi_dn(x, 2) @ (T * W)
+        return (self.lam * (p + y * J) - A * p * D) / (y * D * A * p)
 
     def _R_inner(self, xs: np.ndarray) -> np.ndarray:
         """int_0^x of the remainder for each x in the sliver next to zero:
@@ -422,32 +408,23 @@ class StationarySolution:
         T, W = _legendre_rule(64)
         return xs * (self._left_integrand(xs[:, None] * T) @ W)
 
-    def _check_root_series(self) -> None:
-        """Cross-check expansion vs direct remainder where both are accurate:
-        just outside the band the direct formula carries at most the
-        root-shift noise K*dA/u^2 and the expansion its truncation tail, so a
-        mismatch beyond both means one is wrong (bad derivative, underestimated
-        transform noise), and the whole solution would be silently off."""
-        A, K, e, M = self.alpha_lambda, self.K, self._e, self._M
-        u = np.array([1.0, 1.25, 1.6, 2.0]) * self._w
-        trunc = K * (abs(e[M + 1]) * u**M + abs(e[M + 2]) * u ** (M + 1))
-        gate = 6.0 * (K * self._dA_est / u**2 + trunc) + 5e-11 * K * (abs(e[1]) + 1.0 / A)
-        diff = np.abs(K * polyval(u, e[1:M + 1]) - 1.0 / (A - u) - self._left_integrand(A - u))
-        for u, diff, gate in zip(u[diff > gate], diff[diff > gate], gate[diff > gate]):
-            raise self._failure("root expansion of the remainder disagrees with the "
-                                f"direct formula at distance {u:.3e} from the root "
-                                f"({diff:.3e} > {gate:.3e})")
-
     def _rho_above(self, v):
-        """Regular outer remainder mapped via y = A/(1-v), for v in [vw, 1]:
-        rho(y) = lam/(y(phi-lam)) - K*A/(y(y-A)) decays like 1/y^2, so
-        rho(y) A/(1-v)^2 = lam/(A phi(y)/y - lam (1-v)) - K/v stays bounded
-        up to v = 1, where phi(y)/y is _d_eff, and serves every alpha beyond
-        the band."""
-        lam, A = self.lam, self.alpha_lambda
-        poa = _regions(v, (lambda v: v >= 1.0, lambda v: self._d_eff),
-                       (None, lambda v: self.model.phi_over_alpha(A / (1.0 - v))))
-        return lam / (A * poa - lam * (1.0 - v)) - self.K / v
+        """Regular outer remainder mapped via y = A/(1-v), for v in [0, 1]:
+        rho(y) = lam/(y(phi-lam)) - K*A/(y(y-A)) = (K-1)/y - r(y) decays like
+        1/y^2, so rho(y) A/(1-v)^2 = lam/(A phi(y)/y - lam (1-v)) - K/v stays
+        bounded up to v = 1, where phi(y)/y is _d_eff, and serves every alpha
+        above the root; within the cut, y - A <= _CUT A, r is `_near_root`."""
+        lam, A, K = self.lam, self.alpha_lambda, self.K
+
+        def direct(v, poa):
+            return lam / (A * poa - lam * (1.0 - v)) - K / v
+
+        def near(v):
+            y = A / (1.0 - v)
+            return ((K - 1.0) / y - self._near_root(y)) * y * y / A
+        return _regions(v, (lambda v: v <= _CUT / (1.0 + _CUT), near),
+                        (lambda v: v >= 1.0, lambda v: direct(v, self._d_eff)),
+                        (None, lambda v: direct(v, self.model.phi_over_alpha(A / (1.0 - v)))))
 
     def _build_pieces(self, fun: Callable, a: float, b: float, what: str,
                       degrees: Sequence[int], rtol: float, pieces: tuple, depth: int = 0,
@@ -463,9 +440,9 @@ class StationarySolution:
         the end whose outer eighth holds the worst miss, else at its middle.
         An accepted rung drops the trailing coefficients whose absolute sum is
         at most min(err, rtol*scale - err) (Aurentz & Trefethen). `ends` holds
-        fun at a and b where a neighbour sampled it. _R_inner takes a piece
-        [0, b <= _SLIVER * root], the kink of a branch point at zero."""
-        if a == 0.0 and b <= _SLIVER * self.alpha_lambda:
+        fun at a and b where a neighbour sampled it. _R_inner takes an inner
+        piece [0, b <= _SLIVER * root], the kink of a branch point at zero."""
+        if pieces is self._inner and a == 0.0 and b <= _SLIVER * self.alpha_lambda:
             anti, fb = self._R_inner, ends[1]
         else:
             def at(n, j):  # the points cos(pi j/n) of [a, b], symmetric in j
@@ -514,28 +491,11 @@ class StationarySolution:
 
     def _R(self, xs: np.ndarray) -> np.ndarray:
         """Antiderivative of the inner remainder r, continuous on [lo, A]."""
-        out = np.empty_like(xs)
-        band = xs > self._band_lo_x
-        out[~band] = _eval_pieces(self._inner, xs[~band])
-        if band.any():
-            # closed-form integral of the root expansion on (A-w, A]
-            A, xb = self.alpha_lambda, xs[band]
-            out[band] = (self._inner[2][-1] + np.log((A - self._w) / xb) + self.K * (
-                self._band_cw - (A - xb) * polyval(A - xb, self._band_coef)))
-        return out
+        return _eval_pieces(self._inner, xs)
 
     def _Q(self, xs: np.ndarray) -> np.ndarray:
-        """int_A^x of the outer remainder for x >= A: closed-form integral of
-        the root expansion in [A, A+w], Chebyshev antiderivatives beyond."""
-        A = self.alpha_lambda
-        out = np.empty_like(xs)
-        band = xs <= A + self._w
-        if band.any():
-            xb = xs[band]
-            out[band] = self.K * (np.log(xb / A) + (xb - A) * polyval(xb - A, self._qband_coef))
-        if not band.all():
-            out[~band] = self._Q_bandhi + _eval_pieces(self._outer, 1.0 - A / xs[~band])
-        return out
+        """int_A^x of the outer remainder for x >= A."""
+        return _eval_pieces(self._outer, 1.0 - self.alpha_lambda / xs)
 
     # -- graded-rule transform evaluation ------------------------------------
 

@@ -284,19 +284,32 @@ def test_upper_gamma_matches_high_precision(a):
         assert models._upper_gamma(a, z) == pytest.approx(expected, rel=1e-13, abs=0.0), z
 
 
-def test_upper_gamma_keeps_its_digits_at_orders_above_the_argument():
-    # the derivatives of the root series ask for orders up to ~12; above
-    # z + 1 the continued fraction alone would lose up to 9e-9 relative.
-    # Values below 1e-290 are skipped: double precision underflows on them
+def test_upper_gamma_keeps_its_digits_at_orders_up_to_the_argument_plus_one():
+    # the continued fraction serves every order a <= z + 1 (the transforms
+    # ask for a < 1 at z > 2); above it, where it would lose up to 9e-9
+    # relative, it refuses. Values below 1e-290 are skipped: double
+    # precision underflows on them
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     for a in np.arange(-12.0, 12.125, 0.25):
         for z in (2.0001, 2.5, 3.0, 5.0, 10.0, 50.0, 699.0):
+            if a > z + 1.0:
+                with pytest.raises(ModelError):
+                    models._upper_gamma(float(a), np.array([z, 700.0]))
+                continue
             expected = mpmath.gammainc(float(a), z)
             if expected < 1e-290:
                 continue
             assert models._upper_gamma(float(a), z) == pytest.approx(
                 float(expected), rel=1e-13, abs=0.0), (a, z)
+
+
+def test_pareto_derivative_of_high_order_refuses_where_it_would_lose_digits():
+    # order 6 of delta 1.5 needs Gamma(4.5, s), served for s >= 3.5 only
+    jumps = Pareto(1.5, 1.0)
+    with pytest.raises(ModelError, match="not served"):
+        jumps.lst_deriv(np.array([1.0, 2.1, 10.0]), 6)
+    assert jumps.lst_deriv(1.0, 6) == pytest.approx(17.2987228714517, rel=1e-12)
 
 
 def test_pareto_transform_at_an_alpha_whose_scale_product_underflows():
@@ -370,11 +383,24 @@ def _contract_inputs(obj):
 @pytest.mark.parametrize("obj", LAWS + PROCESSES, ids=repr)
 def test_model_layer_takes_a_float_or_an_array(obj):
     # a float gives a Python float, an array one of its shape, and the two
-    # agree element by element
-    xs = _contract_inputs(obj)
+    # agree element by element; the first two derivatives too, and an array
+    # holding a point where a derivative diverges raises as that float does
     names = ("phi", "phi_over_alpha") if hasattr(obj, "phi") else ("lst", "excess_lst")
-    for name in names:
-        fun = getattr(obj, name)
+    funs = [(name, getattr(obj, name), False) for name in names]
+    deriv = obj.phi_dn if hasattr(obj, "phi") else obj.lst_deriv
+    funs += [(f"{deriv.__name__}(., {n})", lambda x, n=n: deriv(x, n), True) for n in (1, 2)]
+    for name, fun, may_diverge in funs:
+        xs = []
+        for x in _contract_inputs(obj):
+            try:
+                fun(x)
+            except ModelError:
+                if not may_diverge:
+                    raise
+                with pytest.raises(ModelError):
+                    fun(np.array([1.0, x]))
+            else:
+                xs.append(x)
         scalar = np.array([fun(x) for x in xs])
         assert all(type(fun(x)) is float for x in xs), name
         got = fun(np.array(xs).reshape(1, -1))

@@ -933,8 +933,7 @@ def test_endpoint_rule_failure_names_the_model(monkeypatch):
 ))
 def test_remainder_split_stops_at_the_depth_cap(monkeypatch, method, text):
     # a jump in the remainder converges on no piece however narrow, so the
-    # builder keeps splitting around it until the depth cap; the left jump
-    # sits far from the band next to the root where the expansion is checked
+    # builder keeps splitting around it until the depth cap
     smooth = getattr(stationary.StationarySolution, method)
 
     def with_a_jump(self, x):
@@ -1041,6 +1040,56 @@ SPLIT_CASES = {
 }
 
 
+def _mp_phi(model, a, mpmath):
+    """phi of a Brownian or one-law compound model at an mpmath number."""
+    if isinstance(model, BrownianDrift):
+        return -model.c * a + model.sigma2 * a * a / 2
+    jumps = model.jumps
+    if isinstance(jumps, Exponential):
+        beta = jumps.mu / (jumps.mu + a)
+    elif isinstance(jumps, Erlang):
+        beta = (jumps.rate / (jumps.rate + a)) ** jumps.shape
+    elif isinstance(jumps, Deterministic):
+        beta = mpmath.exp(-a * jumps.size)
+    else:
+        s = a * jumps.xm
+        beta = jumps.delta * s**jumps.delta * mpmath.gammainc(-jumps.delta, s)
+    return model.d * a - model.gamma * (1 - beta)
+
+
+@pytest.mark.parametrize("model, lam", (
+    (BM, 1.0), (MM1, 1.0), (ERLANG, 0.8), (DETERM, 0.9), (PARETO15, 1.0), (PARETO15, 0.05)),
+    ids=("bm", "mm1", "erlang", "det", "pareto1.5", "pareto1.5-small-lambda"))
+def test_remainder_next_to_the_root_matches_high_precision(model, lam):
+    # the divided-difference form of r(y) = h(y) - K/(A-y) on both sides of
+    # the root, against the defining formula in 50 digits at the float root
+    # A (lambda = phi(A) there, so A is its exact root)
+    mpmath = pytest.importorskip("mpmath")
+    sol = stationary.StationarySolution(model, lam, 1.0)
+    u = np.array([1e-9, 1e-6, 1e-4, 1e-2, stationary._CUT])
+    ys = sol.alpha_lambda * np.concatenate((1.0 - u, 1.0 + u))
+    got = sol._near_root(ys)
+    with mpmath.workdps(50):
+        A = mpmath.mpf(sol.alpha_lambda)
+        lam_A = _mp_phi(model, A, mpmath)
+        K = lam_A / (A * mpmath.diff(lambda a: _mp_phi(model, a, mpmath), A))
+        for y, r in zip(ys, got):
+            y = mpmath.mpf(y)
+            exact = lam_A / (y * (lam_A - _mp_phi(model, y, mpmath))) - 1 / y - K / (A - y)
+            assert abs(r - exact) <= 1e-13 * abs(exact), (y / A - 1, r, float(exact))
+
+
+# the canonical heavy-tailed model at lambdas just below the sweep's range,
+# a band where its above-root tail rule has failed to settle
+@pytest.mark.parametrize("lam", (5e-4, 7e-4, 1e-3, 1.5e-3))
+@pytest.mark.parametrize("theta", (0.3, 1.0, 3.0))
+def test_pareto_small_lambda_band_builds(lam, theta):
+    sol = stationary.StationarySolution(PARETO15, lam, theta)
+    A = sol.alpha_lambda
+    for alpha in (0.5 * A, 1.5 * A, 1.0 / sol.moments(1)[1]):
+        assert fixed_point_residual(PARETO15, lam, theta, alpha) <= 1e-9, alpha
+
+
 def test_remainder_pieces_split_only_where_needed():
     # one piece per interval where one converges; the regularly varying
     # Pareto transform's kink at zero gets pieces graded by 1/8 toward it,
@@ -1048,19 +1097,29 @@ def test_remainder_pieces_split_only_where_needed():
     for model in (BM, MM1):
         sol = stationary.StationarySolution(model, 1.0, 1.0)
         assert list(sol._inner[0]) == [sol._lo, 0.5 * sol.alpha_lambda]
-        assert list(sol._outer[0]) == [sol._vw]
+        assert list(sol._outer[0]) == [0.0]
     sol = stationary.StationarySolution(PARETO15, 1.0, 1.0)
     a = sol.alpha_lambda
     assert list(sol._inner[0]) == [0.0] + [0.5 * a / 8.0**k for k in range(5, -1, -1)]
     assert sol._inner[1][0] == sol._R_inner
 
 
+def test_outer_piece_never_takes_the_sliver_rule():
+    # the outer piece starts at v = 0, as the left one does at x = 0, but
+    # only the inner remainder has a sliver: at a root of 1e5, [0, 1] is
+    # narrower than root 2^-16
+    model = BrownianDrift(0.0, 2e-6)
+    sol = stationary.StationarySolution(model, 1e4, 1.0)
+    assert sol.alpha_lambda * stationary._SLIVER > 1.0
+    assert fixed_point_residual(model, 1e4, 1.0, 1.5 * sol.alpha_lambda) <= 1e-12
+
+
 def _stored_pieces(sol):
     """(fun, a, b, antiderivative, gate) for every stored Chebyshev piece,
     the gate being the rtol * scale the builder accepted it at."""
     A = sol.alpha_lambda
-    rtol_direct = max(2.5e-11, 4.0 * sol.K * sol._dA_est / sol._w**2)
-    for (edges, antis, _), fun, end in ((sol._inner, sol._left_integrand, sol._band_lo_x),
+    rtol_direct = max(2.5e-11, 4.0 * sol.K * sol._dA_est / (stationary._CUT * A) ** 2)
+    for (edges, antis, _), fun, end in ((sol._inner, sol._left_integrand, A),
                                         (sol._outer, sol._rho_above, 1.0)):
         for a, b, anti in zip(edges, list(edges[1:]) + [end], antis):
             if anti == sol._R_inner:

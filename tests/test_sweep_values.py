@@ -61,3 +61,20 @@ def test_compare_exits_one_on_any_changed_bit_or_failure(tmp_path, capsys):
                 json.dump({"seeds": [1], "models": models}, fh)
         assert sweep_values.main(["compare"] + paths) == (1 if moved else 0), moved
     capsys.readouterr()
+
+
+def test_compare_reports_the_residuals_absolute_move(tmp_path, capsys):
+    # the fixed-point residual is often exactly 0, where a relative move
+    # would read inf; its row gives the largest absolute move instead
+    residual = f"residual@{sweep_values.RESIDUAL_AT!r}"
+    before = {"1:a": _model(**{residual: 0.0}), "1:b": _model(**{residual: 1e-15})}
+    after = {"1:a": _model(**{residual: 2e-16}), "1:b": _model(**{residual: 1.5e-15})}
+    paths = []
+    for name, models in (("A.json", before), ("B.json", after)):
+        paths.append(str(tmp_path / name))
+        with open(paths[-1], "w") as fh:
+            json.dump({"seeds": [1], "models": models}, fh)
+    assert sweep_values.main(["compare"] + paths) == 1
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert rows[residual].endswith("identical 0/2  largest absolute move 5e-16 (1:b)")
+    assert rows["root"].endswith("identical 2/2  largest relative move 0 (-)")

@@ -15,9 +15,11 @@ imported (default: this one), so one copy of the script can record any
 checkout; perfbench is only read.
 
 `compare A B` prints, per quantity, how many models carry the same bits in
-both records and the largest relative move from A to B with its model, then
-every model whose failure or message differs. It exits 0 when every
-quantity is bit-identical and every failure the same, and 1 otherwise.
+both records and the largest relative move from A to B with its model
+(absolute for the fixed-point residual, an absolute quantity that is often
+exactly 0), then every model whose failure or message differs. It exits 0
+when every quantity is bit-identical and every failure the same, and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ F_AT = (0.0, 1e-4, 0.5, 0.999, 1.0, 1.5, 2.0, 10.0)
 RESIDUAL_AT = 1.5
 QUANTITIES = (("root", "b", "atom") + tuple(f"f@{a!r}" for a in F_AT)
               + ("Ef(rootU)", f"residual@{RESIDUAL_AT!r}", "m1", "m2", "m3", "m4"))
+ABSOLUTE = (f"residual@{RESIDUAL_AT!r}",)
 
 
 def _values(stationary, model, lam, theta):
@@ -72,12 +75,15 @@ def dump(seeds, root):
     return {"seeds": sorted(seeds), "models": models}
 
 
-def _move(a, b):
-    """Relative move from a to b; inf where one side is not finite."""
+def _move(a, b, absolute=False):
+    """Move from a to b, relative to a unless absolute; inf where one side
+    is not finite."""
     if a == b:
         return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
+    if absolute:
+        return abs(b - a)
     return abs(b - a) / abs(a) if a else math.inf
 
 
@@ -92,13 +98,14 @@ def compare(before, after):
         keys = [k for k in both if q in a_models[k] and q in b_models[k]]
         same = sum(a_models[k][q] == b_models[k][q] for k in keys)
         identical &= same == len(keys)
-        worst, where = 0.0, "-"
+        worst, where, kind = 0.0, "-", "absolute" if q in ABSOLUTE else "relative"
         for k in keys:
-            move = _move(float.fromhex(a_models[k][q]), float.fromhex(b_models[k][q]))
+            move = _move(float.fromhex(a_models[k][q]), float.fromhex(b_models[k][q]),
+                         q in ABSOLUTE)
             if move > worst:
                 worst, where = move, k
         lines.append(f"{q:<16} identical {same}/{len(keys)}  "
-                     f"largest relative move {worst:.3g} ({where})")
+                     f"largest {kind} move {worst:.3g} ({where})")
     differ = []
     for k in sorted(set(a_models) | set(b_models)):
         ea = a_models.get(k, {"error": "absent"}).get("error")

@@ -123,8 +123,9 @@ def _replicate(args) -> simulate.SamplePool:
 def _run_pools(cfg: RunConfig) -> List[simulate.SamplePool]:
     if cfg.engine in ("embedded", "loynes") and not simulate.has_exact_wl(cfg.model):
         raise ValidationError("no exact W_tau sampler for this model; use engine = path")
-    # replication count fixes the sample split and the (seed, r) streams;
-    # threads only sizes the worker pool, so results do not depend on it
+    # the replication count fixes the sample split and the (seed, r)
+    # streams, so at a fixed count results do not depend on threads, which
+    # only sizes the worker pool; replications = 0 takes one per thread
     reps = cfg.replications if cfg.replications > 0 else cfg.threads
     jobs = [(cfg, r, n) for r, n in enumerate(_chunks(cfg.n_samples, reps))]
     if len(jobs) <= 1 or cfg.threads <= 1:

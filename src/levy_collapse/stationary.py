@@ -66,8 +66,7 @@ __all__ = [
     "onoff_mixture_lst",
 ]
 
-# relative half-width of the band around alpha_lambda where the limiting
-# branch value replaces the 0/0 expressions
+# relative half-width of the band around alpha_lambda that `branch` tags "at"
 _AT_ROOT_RTOL = 1e-9
 
 
@@ -133,22 +132,33 @@ def wx_joint_lst(model: LevyModel, lam: float, x: float, alpha: float,
     """Joint transform of (level, pushed-up reflector amount) at an
     independent exp(lam) time when the reflection starts from level x >= 0.
 
-    Equals (exp(-alpha x) - ((alpha+beta)/(root+beta)) exp(-root x))
-    / (1 - phi(alpha)/lam); both factors vanish at alpha = root, where the
-    limit (x + 1/(root+beta)) * lam * exp(-root x) / phi'(root) applies.
+    Equals (exp(-alpha x) - ((alpha+beta)/(root+beta)) exp(-root x)) / (1 - phi(alpha)/lam),
+    0/0 at the root; within the cut lam (x e^(-root x) expm1(u)/u + e^(-root x)/(root+beta))
+    / D(alpha), u = (root-alpha) x, D the slope of phi (`_chord`), the first term overflow-free.
     """
     if not all(0 <= v < math.inf for v in (x, alpha, beta)):
         raise DomainError("x, alpha and beta must be finite and >= 0")
     root = _alpha_root(model, lam)
-    if abs(alpha - root) <= _AT_ROOT_RTOL * root:
-        return (x + 1.0 / (root + beta)) * lam * math.exp(-root * x) / model.phi_dn(root, 1)
-    num = math.exp(-alpha * x) - (alpha + beta) / (root + beta) * math.exp(-root * x)
-    return num / (1.0 - model.phi(alpha) / lam)
+    if abs(alpha - root) > _CUT * root:
+        num = math.exp(-alpha * x) - (alpha + beta) / (root + beta) * math.exp(-root * x)
+        return num / (1.0 - model.phi(alpha) / lam)
+    w = abs(root - alpha) * x
+    rise = x * math.exp(-min(alpha, root) * x) * (-math.expm1(-w) / w if w else 1.0)
+    nodes, _, W = _chord(root, alpha)
+    return lam * (rise + math.exp(-root * x) / (root + beta)) / float(model.phi_dn(nodes, 1) @ W)
 
 
 @lru_cache(maxsize=256)
 def _alpha_root(model: LevyModel, lam: float) -> float:
     return find_alpha_lambda(model, lam)
+
+
+def _chord(root: float, y):
+    """Points y + t (root-y), a row per y, at the 12 Gauss-Legendre nodes t of [0, 1] (6
+    reach rounding on the cut, but are no faster), t and weights: means over [y, root]."""
+    T, W = _legendre_rule(12)
+    yc = np.expand_dims(y, -1)
+    return yc + (root - yc) * T, T, W
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +398,12 @@ class StationarySolution:
         return _regions(y, (lambda y: A - y <= _CUT * A, self._near_root), (None, direct))
 
     def _near_root(self, y):
-        """r(y) next to the root, on either side, without its 0/0: with the
-        means D = int_0^1 phi'(x_t) dt and J = int_0^1 t phi''(x_t) dt over
-        x_t = y + t (A-y) (Hermite-Genocchi; 12 Gauss-Legendre nodes: 6
-        already reach rounding on the cut, but are no faster),
-        lam - phi(y) = (A-y) D and A phi'(A) - y D = (A-y) (phi'(A) + y J), so
-        r(y) = (lam (phi'(A) + y J) - A phi'(A) D) / (y D A phi'(A))."""
+        """r(y) next to the root, on either side, without its 0/0: with the means
+        D = int_0^1 phi'(x_t) dt and J = int_0^1 t phi''(x_t) dt over x_t = y + t (A-y)
+        (`_chord`; Hermite-Genocchi), lam - phi(y) = (A-y) D and A phi'(A) - y D =
+        (A-y) (phi'(A) + y J), so r(y) = (lam (phi'(A) + y J) - A phi'(A) D) / (y D A phi'(A))."""
         A, p = self.alpha_lambda, self.phi_prime_root
-        T, W = _legendre_rule(12)
-        yc = np.expand_dims(y, -1)
-        x = yc + (A - yc) * T
+        x, T, W = _chord(A, y)
         D, J = self.model.phi_dn(x, 1) @ W, self.model.phi_dn(x, 2) @ (T * W)
         return (self.lam * (p + y * J) - A * p * D) / (y * D * A * p)
 
@@ -524,8 +530,8 @@ class StationarySolution:
                 if side:
                     S, logW = map(np.concatenate, zip(*(self._piece_rule(*pieces[i][:2], n)
                                                         for i in side)))
-                    raw.update(zip(side, self._integrals(at[side], S, logW,
-                                                         np.full(len(side), n))))
+                    sums = self._integrals(at[side], S, logW, np.full(len(side), n))
+                    raw.update(zip(side, sums.tolist()))
             total = sum(raw[i] for i in rules[top])
             refs = [raw[i] if a else total for i, a in enumerate(at)]
             weights[:] = [1.0 / r if 0.0 < r < math.inf else math.nan for r in refs]
@@ -591,26 +597,31 @@ class StationarySolution:
             if geo:  # ((x-A)/(alpha-A)/s)^(theta K) and dx/ds/(alpha-A)
                 logv += (self._tK * np.log(np.expm1(c * S) / (S * np.expm1(c)))
                          + np.log(c * xs / (a - A)))
-        return np.add.reduceat(np.exp(logW + logv), np.cumsum(lens) - lens)
+        with np.errstate(over="ignore"):  # past the float range: inf, which never settles
+            return np.add.reduceat(np.exp(logW + logv), np.cumsum(lens) - lens)
 
     def _lst_many(self, alphas: np.ndarray) -> np.ndarray:
-        """Stationary transform at every alpha of a 1-d array (alpha at or
-        above the margin): b (A-alpha) / (1 - phi(alpha)/lam) `_integrals`,
-        the rows of a branch flat, in blocks of about _CHUNK nodes."""
-        A = self.alpha_lambda
-        out = np.empty_like(alphas)
-        at = np.abs(alphas - A) <= _AT_ROOT_RTOL * A
-        out[at] = self.b / (self.theta / A + self.phi_prime_root / self.lam)
-        sides = (~at & (alphas < A) & (alphas != 0.0), ~at & (alphas > A))
+        """Stationary transform at every alpha of a 1-d array (alpha at or above the
+        margin): b (A-alpha)/(1 - phi(alpha)/lam) `_integrals`, within the cut b lam/D(alpha),
+        D the slope of phi to A (`_chord`); a branch's rows flat, in blocks of ~_CHUNK nodes."""
+        A, lam = self.alpha_lambda, self.lam
+        out, front = np.empty_like(alphas), np.empty_like(alphas)
+        near = np.abs(alphas - A) <= _CUT * A
+        x, _, W = _chord(A, alphas[near])  # row sums: a row's bits do not depend on the others
+        front[near] = self.b * lam / (self.model.phi_dn(x, 1) * W).sum(-1)
+        sides = ((alphas <= A) & (alphas != 0.0), alphas > A)
         for idx in (i for i in map(np.flatnonzero, sides) if i.size):
             keys = self._rule_keys(alphas[idx])
             n = self._rule[3][keys]
             cuts = (np.flatnonzero(np.diff((np.cumsum(n) - n) // _CHUNK)) + 1).tolist()
             for i, j in zip([0] + cuts, cuts + [idx.size]):
                 sel, k, a = idx[i:j], keys[i:j], alphas[idx[i:j]]
-                out[sel] = (self.b * (A - a) / (1.0 - self.model.phi(a) / self.lam)
-                            * self._integrals(*self._rule_rows(a, k)))
+                far = ~near[sel]  # phi of the whole block: a series takes its length per call
+                front[sel[far]] = self.b * (A - a[far]) / (1.0 - self.model.phi(a)[far] / lam)
+                out[sel] = front[sel] * self._integrals(*self._rule_rows(a, k))
         out[alphas == 0.0] = 1.0
+        if not np.isfinite(out).all():
+            raise self._failure("transform integral did not evaluate")
         return out
 
     # -- public surface -------------------------------------------------------
@@ -850,31 +861,20 @@ def bm_roots(c: float, sigma2: float, lam: float) -> Tuple[float, float, float, 
     return y1, y2, d1, 1.0 - d1
 
 
-def _power_primitive(alpha: float, r_pos: float, r_neg: float, e_pos: float,
-                     e_neg: float) -> float:
-    """int_0^alpha (r_pos - x)^e_pos (x - r_neg)^e_neg dx via incomplete beta."""
-    span = r_pos - r_neg
-    t0 = -r_neg / span
-    t1 = (alpha - r_neg) / span
-    width = span ** (e_pos + e_neg + 1.0)
-    return width * (incomplete_beta(t1, 1.0 + e_neg, 1.0 + e_pos)
-                    - incomplete_beta(t0, 1.0 + e_neg, 1.0 + e_pos))
-
-
 def _two_root_lst(roots: Tuple[float, float, float, float], alpha: float,
                   num: float = 1.0, den: float = 1.0) -> float:
-    """Stationary transform with Uniform multipliers, f = (1 - g/g(r1)) /
-    (g'(alpha) (1 - phi(alpha)/lam)) with the partial-fraction primitive g,
-    in incomplete beta functions. 1 - phi(alpha)/lam is a multiple of
-    (r1-alpha)(alpha-r2) over a linear factor (1 when there is none), and
-    num/den is that factor at alpha over its value at 0."""
+    """Stationary transform with Uniform multipliers, f = (1 - g/g(r1)) / (g'(alpha)
+    (1 - phi(alpha)/lam)), g = int_0^alpha (r1-x)^e1 (x-r2)^e2 dx; 1 - g/g(r1) is the upper
+    ratio B(z; 1+e1, 1+e2) / B(z0; 1+e1, 1+e2), z = (r1-alpha)/(r1-r2), z0 = z(0), free of
+    cancellation. 1 - phi/lam is a multiple of (r1-alpha)(alpha-r2) over a linear factor
+    (1 without one), and num/den is that factor at alpha over its value at 0."""
     r1, r2, e1, e2 = roots
     if not 0.0 <= alpha < r1:
         raise DomainError("closed form needs 0 <= alpha < the positive root")
-    ratio = (_power_primitive(alpha, r1, r2, e1, e2)
-             / _power_primitive(r1, r1, r2, e1, e2))
+    upper = (incomplete_beta((r1 - alpha) / (r1 - r2), 1.0 + e1, 1.0 + e2)
+             / incomplete_beta(r1 / (r1 - r2), 1.0 + e1, 1.0 + e2))
     return ((r1 / (r1 - alpha)) ** (1.0 + e1)
-            * ((-r2) / (alpha - r2)) ** (1.0 + e2) * num / den * (1.0 - ratio))
+            * ((-r2) / (alpha - r2)) ** (1.0 + e2) * num / den * upper)
 
 
 def bm_closed_form_lst(c: float, sigma2: float, lam: float, alpha: float) -> float:

@@ -117,7 +117,7 @@ def test_criterion_04_branch_continuity(acceptance):
             sol = stationary_solution(model, lam, theta)
             a = sol.alpha_lambda
             mid = sol.b / (theta / a + sol.phi_prime_root / lam)
-            eps = 2e-9 * a  # just outside the at-root snap band
+            eps = 2e-9 * a  # next to the root, on either side
             worst = max(worst, abs(sol.lst(a - eps) - mid),
                         abs(sol.lst(a + eps) - mid))
     ok = worst <= 1e-5

@@ -476,6 +476,29 @@ alphas = 0 1
     assert err.startswith("error: SubordinatorInput:") and err.count("\n") == 1
 
 
+def test_cli_overflowing_transform_integral_fails_on_one_line(tmp_path, capsys):
+    # sweep seed 1's erlang.0.2: the below-root integral overflows the float
+    # range at theta = 398, which must end in the named failure alone, with
+    # no RuntimeWarning on the way
+    text = """\
+model.kind = cpp
+model.d = 0.21978137213979207
+model.gamma = 2.2359876039767186
+model.jumps = erlang
+model.shape = 4
+model.rate = 0.22005695326776012
+collapse = beta
+collapse.theta = 397.86698971816537
+lambda = 0.06368782476396098
+alphas = 0 1
+"""
+    path = write_cfg(tmp_path, text)
+    assert main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: QuadratureFailure: endpoint-weighted quadrature "
+                          "did not stabilize: CppMinusDrift(") and err.count("\n") == 1
+
+
 def test_cli_validate_pass_and_fail(tmp_path, capsys):
     base = BM_TEXT + "suite = analytic\n"
     path = write_cfg(tmp_path, base + f"out = {tmp_path / 'ok'}\n")

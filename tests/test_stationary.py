@@ -46,7 +46,7 @@ from levy_collapse import (
     w_tau_lst,
     wx_joint_lst,
 )
-from levy_collapse import stationary
+from levy_collapse import runner, stationary
 
 import reference_values as ref
 
@@ -300,7 +300,7 @@ def test_branch_seam_is_flat():
         a, eps = sol.alpha_lambda, 1e-4 * sol.alpha_lambda
         seam = abs(sol.lst(a - eps) + sol.lst(a + eps) - 2.0 * sol.lst(a))
         assert seam <= 1e-5
-    # one-sided continuity right outside the at-root snap band
+    # one-sided continuity next to the root
     for model, lam in ((BM, 1.0), (MM1, 1.0)):
         sol = stationary_solution(model, lam, 1.0)
         a, eps = sol.alpha_lambda, 2e-9 * sol.alpha_lambda
@@ -516,7 +516,7 @@ def test_incomplete_beta_matches_high_precision(a1):
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     for a2 in (0.5, 1.2, 1.9, 3.0):
-        for z in (1e-6, 0.3, 0.7, 0.999):
+        for z in (1e-12, 1e-9, 1e-6, 0.3, 0.7, 0.999, 1.0 - 1e-9):
             expected = float(mpmath.betainc(a1, a2, 0, z))
             assert incomplete_beta(z, a1, a2) == pytest.approx(
                 expected, rel=1e-14, abs=0.0), (a2, z)
@@ -559,6 +559,82 @@ def test_dual_route_agreement_exponential_jumps():
         direct = stationary_solution(MM1, 1.0, 1.0).lst(float(alpha))
         closed = mm1_closed_form_lst(1.0, 1.0, 2.0, 1.0, float(alpha))
         assert abs(direct - closed) <= 1e-8
+
+
+def _mp_closed_form(kind, p, mpmath):
+    """(r1, phi, f) of a closed-form set at theta = 1 in mpmath: the positive
+    root of phi = lam, phi, and the transform continued through the root,
+    f = F(z)/F(z0) (-r2/(alpha-r2))^(1+e2) num/den, where
+    F(z) = 2F1(-e2, 1+e1; 2+e1; z)/(1+e1) at z = (r1-alpha)/(r1-r2), z0 = z(0)."""
+    if kind == "bm":
+        c, s2, lam = map(mpmath.mpf, p)
+        disc = mpmath.sqrt(c * c + 2 * s2 * lam)
+        r1, r2 = (c + disc) / s2, (c - disc) / s2
+        e1 = -r2 / (r1 - r2)
+
+        def phi(a):
+            return -c * a + s2 * a * a / 2
+
+        def lin(a):
+            return 1
+    else:
+        d, gam, mu, lam = map(mpmath.mpf, p)
+        s = (lam + gam) / d - mu
+        disc = mpmath.sqrt(s * s + 4 * lam * mu / d)
+        r1, r2 = (s + disc) / 2, (s - disc) / 2
+        e1 = (lam / d - r2) / (r1 - r2)
+
+        def phi(a):
+            return d * a - gam * a / (mu + a)
+
+        def lin(a):
+            return (mu + a) / mu
+    e2 = 1 - e1
+
+    def F(z):
+        return mpmath.hyp2f1(-e2, 1 + e1, 2 + e1, z) / (1 + e1)
+
+    def f(a):
+        return F((r1 - a) / (r1 - r2)) / F(r1 / (r1 - r2)) * (-r2 / (a - r2)) ** (1 + e2) * lin(a)
+    return r1, phi, f
+
+
+_CLOSED_SETS = [("bm", p) for p in runner._BM_SETS] + [("mm1", p) for p in runner._MM1_SETS]
+
+
+@pytest.mark.parametrize("kind, p", _CLOSED_SETS,
+                         ids=[k + "-" + "x".join(f"{v:g}" for v in p) for k, p in _CLOSED_SETS])
+def test_transforms_next_to_the_root_match_high_precision(kind, p):
+    # the solver, W_tau and the closed forms on validate's dual-route sets,
+    # against their 40-digit values: every quotient that is 0/0 at the root
+    # keeps its digits up to it
+    mpmath = pytest.importorskip("mpmath")
+    if kind == "bm":
+        model, closed, roots = BrownianDrift(*p[:2]), bm_closed_form_lst, bm_roots(*p)
+    else:
+        model, closed, roots = (CppMinusDrift(*p[:2], Exponential(p[2])), mm1_closed_form_lst,
+                                mm1_roots(*p))
+    lam = p[-1]
+    sol = stationary_solution(model, lam, 1.0)
+    A = sol.alpha_lambda
+    u = np.array([1e-8, 1e-6, 1e-4, 1e-2])
+    with mpmath.workdps(40):
+        r1, phi, f = _mp_closed_form(kind, p, mpmath)
+        for a in A * np.concatenate((1.0 - u, 1.0 + u)):
+            am = mpmath.mpf(a)
+            want = f(am)
+            got = sol.lst(a)
+            assert abs(got - want) <= 1e-13 * want, ("f", a / A - 1, got, float(want))
+            for x, beta in ((0.0, 0.0), (0.8 / A, 0.0), (2.0 / A, 0.7 * A)):
+                want = ((mpmath.exp(-am * x) - (am + beta) / (r1 + beta) * mpmath.exp(-r1 * x))
+                        / (1 - phi(am) / lam))
+                got = wx_joint_lst(model, lam, x, a, beta)
+                assert abs(got - want) <= 1e-13 * want, ("wx", a / A - 1, x, beta, got)
+        for q in (1.0 - 1e-8, 1.0 - 1e-6, 1.0 - 1e-4, 0.5):
+            a = q * roots[0]
+            want = f(mpmath.mpf(a))
+            got = closed(*p, a)
+            assert abs(got - want) <= 1e-14 * want, ("closed", q, got, float(want))
 
 
 def test_closed_forms_reject_the_pole():

@@ -35,7 +35,7 @@ sys.path.insert(0, HERE)
 from bench_point import parse_seeds  # noqa: E402
 
 BLOCKS = range(8)
-F_AT = (0.0, 1e-4, 0.5, 0.999, 1.0, 1.5, 2.0, 10.0)
+F_AT = (0.0, 1e-4, 0.5, 0.999, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.5, 2.0, 10.0)
 RESIDUAL_AT = 1.5
 QUANTITIES = (("root", "b", "atom") + tuple(f"f@{a!r}" for a in F_AT)
               + ("Ef(rootU)", f"residual@{RESIDUAL_AT!r}", "m1", "m2", "m3", "m4"))

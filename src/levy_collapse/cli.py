@@ -8,6 +8,7 @@ prints exactly one line `error: <Type>: <message>` on stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -41,12 +42,23 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse, before the run, an output directory that `write_csv` could
+    not create; nothing is created, so a failed run leaves none."""
+    base = os.path.abspath(path)
+    while not os.path.lexists(base):
+        base = os.path.dirname(base)
+    if not (os.path.isdir(base) and os.access(base, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{base} is not a writable directory")
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: ConfigError: {exc}", file=sys.stderr)
         return 2
     try:
@@ -55,6 +67,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, master_seed=args.seed)
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
+        _check_out_dir(cfg.out_dir)
         if args.command == "validate":
             paths, rows = runner.run_validate(cfg)
             if not args.quiet:

@@ -29,10 +29,6 @@ from .simulate import _EPS_TRUNC, _RESERVOIR_CAP
 
 _ENGINES = ("embedded", "loynes", "path")
 
-# validate's tolerances by name, the defaults of the `tol.<name>` keys
-TOLS = {"root": 1e-12, "b": 1e-8, "f": 1e-7, "moment": 1e-8, "dual_route": 1e-8,
-        "fixed_point": 1e-7, "coupling": 1e-9}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -58,9 +54,8 @@ class RunConfig:
     master_seed: Optional[int] = None
     out_dir: str = "out"
     threads: int = 1
-    replications: int = 0  # 0: one replication per worker thread
+    replications: int = 1
     suite: str = "all"
-    tols: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self):
         for _, name, _, ok, message in _KEYS:
@@ -70,15 +65,6 @@ class RunConfig:
                 good = False
             if not good:
                 raise ValidationError(message)
-        for name, val in self.tols:
-            if name not in TOLS:
-                raise ValidationError(f"unknown key 'tol.{name}'")
-            if not val >= 0:
-                raise ValidationError(f"tol.{name} must be >= 0")
-
-    def tol(self, name: str) -> float:
-        """The `tol.<name>` override, else the default in TOLS."""
-        return dict(self.tols).get(name, TOLS[name])
 
     def seed(self) -> int:
         if self.master_seed is None:
@@ -169,15 +155,11 @@ class _Fields:
             raise ValidationError(f"{key} is required")
         return val
 
-    def finish_prefixless(self) -> Tuple[Tuple[str, float], ...]:
-        """Collect the tol.<name> overrides of TOLS, then reject anything
-        left over, misspelled tolerance names included."""
-        tols = tuple((name, val) for name in TOLS
-                     if (val := self.float_("tol." + name)) is not None)
+    def reject_unknown(self) -> None:
+        """Reject any key no reader consumed."""
         unknown = sorted(set(self._raw) - self._seen)
         if unknown:
             raise ValidationError(f"unknown key {unknown[0]!r}")
-        return tols
 
 
 def _rising(xs) -> bool:
@@ -210,7 +192,7 @@ _KEYS = (
      "master_seed must be >= 0"),
     ("out", "out_dir", _Fields.str_, None, None),
     ("threads", "threads", _Fields.int_, lambda v: v >= 1, "threads must be >= 1"),
-    ("replications", "replications", _Fields.int_, lambda v: v >= 0, "replications must be >= 0"),
+    ("replications", "replications", _Fields.int_, lambda v: v >= 1, "replications must be >= 1"),
     ("suite", "suite", _Fields.str_, None, None),
 )
 
@@ -295,4 +277,5 @@ def parse_config(text: str) -> RunConfig:
             for key, name, read, _, _ in _KEYS}
     if keys["lam"] is None:
         raise ValidationError("lambda is required")
-    return RunConfig(model=model, collapse=collapse, tols=f.finish_prefixless(), **keys)
+    f.reject_unknown()
+    return RunConfig(model=model, collapse=collapse, **keys)

@@ -104,8 +104,7 @@ def _chunks(total: int, parts: int) -> List[int]:
     return [base + (1 if r < extra else 0) for r in range(parts)]
 
 
-def _replicate(args) -> simulate.SamplePool:
-    cfg, r, n = args
+def _replicate(cfg: RunConfig, r: int, n: int) -> simulate.SamplePool:
     rng = simulate.replication_rng(cfg.seed(), r)
     kw = dict(alphas=cfg.alphas, thresholds=cfg.thresholds,
               reservoir_cap=cfg.reservoir_cap)
@@ -124,18 +123,14 @@ def _run_pools(cfg: RunConfig) -> List[simulate.SamplePool]:
     if cfg.engine in ("embedded", "loynes") and not simulate.has_exact_wl(cfg.model):
         raise ValidationError("no exact W_tau sampler for this model; use engine = path")
     # the replication count fixes the sample split and the (seed, r)
-    # streams, so at a fixed count results do not depend on threads, which
-    # only sizes the worker pool; replications = 0 takes one per thread
-    reps = cfg.replications if cfg.replications > 0 else cfg.threads
-    jobs = [(cfg, r, n) for r, n in enumerate(_chunks(cfg.n_samples, reps))]
-    if len(jobs) <= 1 or cfg.threads <= 1:
-        return [_replicate(j) for j in jobs]
-    # imported here: every process imports the package, few of them fan out;
-    # the fork start method launches all workers at once, so cap them
-    from concurrent.futures import ProcessPoolExecutor
-    workers = min(cfg.threads, len(jobs), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_replicate, jobs))
+    # streams, and the pools come back in replicate order, so results do not
+    # depend on threads, which only sizes the worker pool; imported here, as
+    # concurrent.futures loads logging, which analyze and validate do without
+    from concurrent.futures import ThreadPoolExecutor
+    counts = _chunks(cfg.n_samples, cfg.replications)
+    workers = min(cfg.threads, len(counts), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(functools.partial(_replicate, cfg), range(len(counts)), counts))
 
 
 # summary rows of the moment estimates, by order
@@ -202,6 +197,11 @@ _MM1_SETS = ((1.0, 1.0, 2.0, 1.0), (2.0, 1.5, 1.0, 0.8),
              (1.0, 0.4, 3.0, 2.0), (1.5, 2.0, 2.5, 1.2))
 
 
+# validate's gates on the suites' own fixed models, by name
+_GATES = {"root": 1e-12, "b": 1e-8, "f": 1e-7, "moment": 1e-8, "dual_route": 1e-8,
+          "fixed_point": 1e-7, "coupling": 1e-9}
+
+
 def _row(check: str, expected: float, observed: float, tol: float):
     return (check, expected, observed, tol, abs(expected - observed) <= tol)
 
@@ -210,12 +210,12 @@ def _suite_analytic(cfg) -> list:
     rows = []
     sol = stationary.stationary_solution(_CANON_BM, 1.0, 1.0)
     four_pi = 4.0 / math.pi
-    rows.append(_row("bm.alpha_lambda", 1.0, sol.alpha_lambda, cfg.tol("root")))
-    rows.append(_row("bm.b", four_pi, sol.b, cfg.tol("b")))
-    rows.append(_row("bm.f1", 4.0 / (3.0 * math.pi), sol.lst(1.0), cfg.tol("f")))
+    rows.append(_row("bm.alpha_lambda", 1.0, sol.alpha_lambda, _GATES["root"]))
+    rows.append(_row("bm.b", four_pi, sol.b, _GATES["b"]))
+    rows.append(_row("bm.f1", 4.0 / (3.0 * math.pi), sol.lst(1.0), _GATES["f"]))
     m = sol.moments(2)
-    rows.append(_row("bm.m1", four_pi, m[1], cfg.tol("moment")))
-    rows.append(_row("bm.m2", 3.0, m[2], cfg.tol("moment")))
+    rows.append(_row("bm.m1", four_pi, m[1], _GATES["moment"]))
+    rows.append(_row("bm.m2", 3.0, m[2], _GATES["moment"]))
     rows.append(_row("bm.f0", 1.0, sol.lst(0.0), 1e-9))
     rows.append(_row("bm.atom", 0.0, sol.atom, 0.0))
     solm = stationary.stationary_solution(_CANON_MM1, 1.0, 1.0)
@@ -228,9 +228,9 @@ def _suite_analytic(cfg) -> list:
     return rows
 
 
-def _suite_closed_form(kind: str, cfg) -> list:
+def _suite_closed_form(kind: str) -> list:
     rows = []
-    tol = cfg.tol("dual_route")
+    tol = _GATES["dual_route"]
     if kind == "bm":
         sets, closed = _BM_SETS, stationary.bm_closed_form_lst
         make = lambda p: BrownianDrift(p[0], p[1])
@@ -251,7 +251,7 @@ def _suite_closed_form(kind: str, cfg) -> list:
 
 def _suite_fixed_point(cfg) -> list:
     rows = []
-    tol = cfg.tol("fixed_point")
+    tol = _GATES["fixed_point"]
     for name, model, lam, theta in (("bm", _CANON_BM, 1.0, 1.0),
                                     ("mm1", _CANON_MM1, 1.0, 1.0),
                                     ("mix", _CANON_MIX, 1.2, 1.0)):
@@ -318,7 +318,7 @@ def _suite_coupling(cfg) -> list:
     cases = (("mm1", _CANON_MM1, 1.0, Uniform01()),
              ("mm1b", CppMinusDrift(2.0, 1.5, Exponential(1.0)), 0.8, Beta1(2.0)),
              ("mix", _CANON_MIX, 1.2, Uniform01()))
-    tol = cfg.tol("coupling")
+    tol = _GATES["coupling"]
     for i, (name, model, lam, collapse) in enumerate(cases):
         kw = {"step_h": 1e-3} if model.sigma2_total() > 0 else {}
         viol, mn = simulate.coupling_check(model, lam, collapse, 1.0, 6.0, 1000,
@@ -349,8 +349,8 @@ def _suite_tail(cfg) -> list:
 
 _SUITES = {
     "analytic": _suite_analytic,
-    "bm-closed-form": lambda cfg: _suite_closed_form("bm", cfg),
-    "mm1-closed-form": lambda cfg: _suite_closed_form("mm1", cfg),
+    "bm-closed-form": lambda cfg: _suite_closed_form("bm"),
+    "mm1-closed-form": lambda cfg: _suite_closed_form("mm1"),
     "fixed-point": _suite_fixed_point,
     "simulation": _suite_simulation,
     "routes": _suite_routes,

@@ -27,7 +27,7 @@ from levy_collapse import (
     stationary_solution,
 )
 from levy_collapse.cli import main
-from levy_collapse import runner, simulate
+from levy_collapse import config, runner, simulate
 from levy_collapse.runner import _fmt, run_analyze, run_simulate
 
 import reference_values as ref
@@ -81,15 +81,12 @@ def test_parse_canonical_config_and_defaults():
     assert cfg.n_samples == 100_000
     assert cfg.n_burn == 1000
     assert cfg.threads == 1
-    assert cfg.replications == 0
+    assert cfg.replications == 1
     assert cfg.eps_trunc == 1e-12
     assert cfg.reservoir_cap == 100_000
     assert cfg.z0 == 0.0
     assert cfg.suite == "all"
     assert cfg.out_dir == "out"
-    assert [cfg.tol(name) for name in ("root", "b", "f", "moment", "dual_route",
-                                       "fixed_point", "coupling")] == \
-        [1e-12, 1e-8, 1e-7, 1e-8, 1e-8, 1e-7, 1e-9]
 
 
 def test_parse_compound_sum_and_beta_collapse():
@@ -122,12 +119,9 @@ def test_parse_jump_families():
     assert cfg.model.jumps == Pareto(1.5, 0.4)
 
 
-def test_parse_comments_blanks_and_tol_overrides():
-    text = BM_TEXT + "\n# trailing comment\n\ntol.moment = 1e-6\ntol.b = 2e-9\n"
-    cfg = parse_config(text)
-    assert cfg.tol("moment") == 1e-6
-    assert cfg.tol("b") == 2e-9
-    assert cfg.tol("root") == 1e-12
+def test_parse_comments_and_blanks():
+    text = BM_TEXT + "\n# trailing comment\n\nn_burn = 30  # inline comment\n"
+    assert parse_config(text) == replace(parse_config(BM_TEXT), n_burn=30)
 
 
 def test_parse_error_carries_line_numbers():
@@ -142,17 +136,17 @@ def test_parse_error_carries_line_numbers():
     for line, text in ((10, mm1 + "alphas = nan\n"), (10, mm1 + "alphas = 0.5 inf\n"),
                        (10, mm1 + "horizon = inf\n"), (10, mm1 + "z0 = inf\n"),
                        (7, mm1.replace("lambda = 1", "lambda = -inf")),
-                       (10, mm1 + "tol.b = nan\n")):
+                       (10, mm1 + "step_h = nan\n")):
         with pytest.raises(ParseError, match=f"^line {line}: .* needs a finite number$"):
             parse_config(text)
 
 
-def test_tolerance_keys_refuse_unknown_names_and_negative_values():
-    with pytest.raises(ValidationError, match="unknown key 'tol.fixedpoint'"):
-        parse_config(BM_TEXT + "tol.fixedpoint = 1e-3\n")
-    with pytest.raises(ValidationError, match="tol.b must be >= 0"):
-        parse_config(BM_TEXT + "tol.b = -1\n")
-    assert parse_config(BM_TEXT + "tol.root = 0\n").tol("root") == 0.0
+def test_validate_tolerances_are_not_config_keys():
+    # validate's gates hold on models the suites fix themselves, so they
+    # are constants beside the suites and a tol.<name> line is a typo
+    for key in ("tol.root", "tol.b", "tol.fixed_point", "tol.fixedpoint"):
+        with pytest.raises(ValidationError, match=f"^unknown key '{re.escape(key)}'$"):
+            parse_config(BM_TEXT + f"{key} = 1e-3\n")
 
 
 def test_validation_errors_name_the_key():
@@ -201,8 +195,7 @@ def test_validation_errors_name_the_key():
     ("", "z0 = -0.5", "z0 must be >= 0"),
     ("master_seed = 7", "master_seed = -1", "master_seed must be >= 0"),
     ("", "threads = 0", "threads must be >= 1"),
-    ("", "replications = -1", "replications must be >= 0"),
-    ("", "tol.b = -1", "tol.b must be >= 0"),
+    ("", "replications = 0", "replications must be >= 1"),
 ])
 def test_one_bad_value_per_run_key_names_its_condition(old, new, message):
     text = MM1_TEXT.replace(old, new) if old else MM1_TEXT + new + "\n"
@@ -214,10 +207,8 @@ def test_overrides_and_direct_construction_meet_the_key_conditions(tmp_path, cap
     cfg = parse_config(MM1_TEXT)
     with pytest.raises(ValidationError, match="^n_samples must be > 0$"):
         replace(cfg, n_samples=0)
-    with pytest.raises(ValidationError, match="^tol.b must be >= 0$"):
-        replace(cfg, tols=(("b", -1.0),))
-    with pytest.raises(ValidationError, match="^unknown key 'tol.fixedpoint'$"):
-        replace(cfg, tols=(("fixedpoint", 1e-3),))
+    with pytest.raises(ValidationError, match="^replications must be >= 1$"):
+        replace(cfg, replications=0)
     with pytest.raises(ValidationError, match="^lambda must be > 0$"):
         RunConfig(cfg.model, cfg.collapse, math.nan)
     path = write_cfg(tmp_path, MM1_TEXT)
@@ -319,10 +310,15 @@ def test_simulate_outputs_and_determinism(tmp_path):
 
 def test_simulate_thread_count_does_not_change_results(tmp_path):
     base = MM1_TEXT + "n_samples = 8000\nn_burn = 200\nreplications = 2\nreservoir_cap = 500\n"
+    tail = MM1_TEXT.replace("model.jumps = exp\nmodel.mu = 2",
+                            "model.jumps = pareto\nmodel.delta = 1.5\nmodel.xm = 0.4")
+    tail += "n_samples = 4000\nreplications = 3\nthresholds = 2 5\n"
     for sub, threads in (("t1", 1), ("t2", 2)):
         cfg = parse_config(base + f"threads = {threads}\nout = {tmp_path / sub}\n")
         run_simulate(cfg)
-    for name in ("summary.csv", "samples.csv"):
+        runner.run_tail(parse_config(tail + f"threads = {threads}\n"
+                                     + f"out = {tmp_path / sub / 'tail'}\n"))
+    for name in ("summary.csv", "samples.csv", os.path.join("tail", "tail.csv")):
         with open(tmp_path / "t1" / name, "rb") as fh:
             first = fh.read()
         with open(tmp_path / "t2" / name, "rb") as fh:
@@ -390,7 +386,7 @@ def test_worker_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
     sizes = []
 
     class SerialPool:
-        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+        """Stands in for ThreadPoolExecutor: records its size, maps serially."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -401,13 +397,14 @@ def test_worker_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, *jobs):
+            return map(fn, *jobs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     threads = 4 * (os.cpu_count() or 1)
     cfg = parse_config(MM1_TEXT + f"n_samples = {50 * threads}\nn_burn = 10\n"
-                       + f"threads = {threads}\nreplications = 0\nout = {tmp_path}\n")
+                       + f"threads = {threads}\nreplications = {threads}\n"
+                       + f"out = {tmp_path}\n")
     run_simulate(cfg)
     assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
     _, rows = read_csv(tmp_path / "summary.csv")
@@ -449,6 +446,27 @@ def test_cli_missing_and_malformed_config(tmp_path, capsys):
     assert main(["analyze", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ValidationError: unknown key")
+
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(BM_TEXT.encode() + b"# caf\xe9\n")
+    assert main(["analyze", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: 'utf-8' codec can't decode byte 0xe9")
+    assert err.count("\n") == 1
+
+
+def test_cli_refuses_an_output_directory_it_cannot_create(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(runner, "_run_pools", lambda cfg: calls.append(cfg))
+    path = write_cfg(tmp_path, MM1_TEXT + "n_samples = 100\n")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        got = capsys.readouterr()
+        assert got.err.startswith(f"error: ConfigError: cannot create output directory {out}")
+        assert got.err.count("\n") == 1 and got.out == ""
+    assert calls == []
 
 
 def test_cli_numeric_failure_exits_three(tmp_path, capsys):
@@ -499,7 +517,7 @@ alphas = 0 1
                           "did not stabilize: CppMinusDrift(") and err.count("\n") == 1
 
 
-def test_cli_validate_pass_and_fail(tmp_path, capsys):
+def test_cli_validate_pass_and_fail(tmp_path, capsys, monkeypatch):
     base = BM_TEXT + "suite = analytic\n"
     path = write_cfg(tmp_path, base + f"out = {tmp_path / 'ok'}\n")
     assert main(["validate", "--config", path]) == 0
@@ -507,11 +525,13 @@ def test_cli_validate_pass_and_fail(tmp_path, capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert lines and all(l.startswith("PASS") for l in lines)
 
+    assert list(runner._GATES.values()) == [1e-12, 1e-8, 1e-7, 1e-8, 1e-8, 1e-7, 1e-9]
     # b and m1 of this case are 4/pi to the last bit, so even a 1e-30 moment
-    # tolerance passes the m1 row, but its root is one rounding off 1, so a
-    # zero root tolerance fails that row
-    path = write_cfg(tmp_path, base + "tol.moment = 1e-30\ntol.root = 0\n"
-                     + f"out = {tmp_path / 'bad'}\n", name="bad.cfg")
+    # gate passes the m1 row, but its root is one rounding off 1, so a zero
+    # root gate fails that row
+    monkeypatch.setitem(runner._GATES, "moment", 1e-30)
+    monkeypatch.setitem(runner._GATES, "root", 0.0)
+    path = write_cfg(tmp_path, base + f"out = {tmp_path / 'bad'}\n", name="bad.cfg")
     assert main(["validate", "--config", path]) == 1
     got = capsys.readouterr()
     assert "FAIL" in got.out
@@ -589,6 +609,20 @@ def test_formatter_round_trips_doubles():
     assert _fmt(True) == "1"
     assert _fmt("label") == "label"
     assert _fmt(1.0) == "1"
+
+
+def test_readme_configuration_table_lists_the_run_keys():
+    # the table's rows past the model and collapse keys are the run keys,
+    # each read by one or more rows of config._KEYS
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    table = text.split("## Configuration", 1)[1].split("\n\n## ", 1)[0]
+    keys = [key for line in table.splitlines() if line.startswith("| `")
+            for key in re.findall(r"`([^`]+)`", line.split("|")[1])]
+    run_keys = [k for k in keys if not k.startswith(("model.", "part", "collapse"))]
+    assert "model.kind" in keys and "collapse" in keys
+    assert sorted(run_keys) == sorted({row[0] for row in config._KEYS})
 
 
 def test_readme_library_use_block_runs():

@@ -1049,9 +1049,9 @@ def test_import_leaves_scipy_integrate_unloaded():
     # import, by simulation and the tail constant, by building solutions
     # (Brownian with its moments and transform, Pareto at an integer tail
     # index, and theta K > 150, which runs the Gauss-Jacobi tail rule on a
-    # stiff weight) or by the Brownian closed form; the process pool is
-    # imported only where a run fans out, so the import alone does not load
-    # multiprocessing
+    # stiff weight) or by the Brownian closed form; the worker pool is
+    # imported only where simulate and tail run, so the import alone loads
+    # neither multiprocessing nor concurrent.futures (and its logging)
     src = os.path.dirname(os.path.dirname(os.path.abspath(stationary.__file__)))
     simulation = (
         "import levy_collapse as lc; rng = lc.replication_rng(1, 0); "
@@ -1072,6 +1072,7 @@ def test_import_leaves_scipy_integrate_unloaded():
                          (simulation, "scipy.special"),
                          (pareto2, "scipy.integrate"),
                          ("import levy_collapse", "multiprocessing"),
+                         ("import levy_collapse", "concurrent.futures"),
                          (bm, "scipy"),
                          (closed_form, "scipy"),
                          (pareto2, "scipy"),

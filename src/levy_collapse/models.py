@@ -182,7 +182,7 @@ class Exponential:
     mu: float
 
     def __post_init__(self):
-        _require(self.mu > 0, "Exponential jumps need rate mu > 0", self)
+        _require(0 < self.mu < math.inf, "Exponential jumps need a finite rate mu > 0", self)
 
     def lst(self, alpha):
         return self.mu / (self.mu + alpha)
@@ -218,7 +218,7 @@ class Erlang:
     def __post_init__(self):
         _require(isinstance(self.shape, int) and self.shape >= 1,
                  "Erlang shape must be an integer >= 1", self)
-        _require(self.rate > 0, "Erlang rate must be > 0", self)
+        _require(0 < self.rate < math.inf, "Erlang rate must be finite and > 0", self)
 
     def lst(self, alpha):
         return _xp(alpha).exp(-self.shape * _xp(alpha).log1p(alpha / self.rate))
@@ -266,8 +266,9 @@ class Pareto:
     xm: float
 
     def __post_init__(self):
-        _require(self.delta > 1, "Pareto tail index delta must be > 1 (finite mean)", self)
-        _require(self.xm > 0, "Pareto scale xm must be > 0", self)
+        _require(1 < self.delta < math.inf,
+                 "Pareto tail index delta must be finite and > 1 (finite mean)", self)
+        _require(0 < self.xm < math.inf, "Pareto scale xm must be finite and > 0", self)
 
     def _scaled(self, alpha):
         if _least(alpha) < 0.0:
@@ -328,7 +329,7 @@ class Deterministic:
     size: float
 
     def __post_init__(self):
-        _require(self.size > 0, "Deterministic jump size must be > 0", self)
+        _require(0 < self.size < math.inf, "Deterministic jump size must be finite and > 0", self)
 
     def lst(self, alpha):
         return _xp(alpha).exp(-alpha * self.size)
@@ -377,7 +378,8 @@ class BrownianDrift:
     sigma2: float
 
     def __post_init__(self):
-        _require(self.sigma2 >= 0, "sigma2 must be >= 0", self)
+        _require(math.isfinite(self.c), "drift c must be finite", self)
+        _require(0 <= self.sigma2 < math.inf, "sigma2 must be finite and >= 0", self)
 
     def phi(self, alpha):
         return alpha * (-self.c + 0.5 * self.sigma2 * alpha)
@@ -426,9 +428,9 @@ class CppMinusDrift:
     jumps: JumpDist
 
     def __post_init__(self):
-        _require(self.d >= 0, "drain rate d must be >= 0", self)
-        _require(self.gamma > 0, "jump rate gamma must be > 0 (a drain without "
-                 "jumps is BrownianDrift(-d, 0))", self)
+        _require(0 <= self.d < math.inf, "drain rate d must be finite and >= 0", self)
+        _require(0 < self.gamma < math.inf, "jump rate gamma must be finite and > 0 (a "
+                 "drain without jumps is BrownianDrift(-d, 0))", self)
         _require(self.jumps is not None, "gamma > 0 requires a jump distribution", self)
 
     def phi(self, alpha):
@@ -524,7 +526,7 @@ class Beta1:
     theta: float
 
     def __post_init__(self):
-        _require(self.theta > 0, "Beta(theta, 1) needs theta > 0", self)
+        _require(0 < self.theta < math.inf, "Beta(theta, 1) needs a finite theta > 0", self)
 
     def moment(self, n: int) -> float:
         return self.theta / (self.theta + n)

@@ -173,11 +173,13 @@ def run_tail(cfg: RunConfig) -> List[str]:
     model = cfg.model
     if not (isinstance(model, CppMinusDrift) and isinstance(model.jumps, Pareto)):
         raise ValidationError("tail command needs model.kind = cpp with pareto jumps")
+    if cfg.collapse.theta != 1.0:  # the target is the uniform law's tail constant
+        raise ValidationError("tail command needs collapse = uniform")
     if not cfg.thresholds:
         raise ValidationError("thresholds must be non-empty for tail")
     delta, xm = model.jumps.delta, model.jumps.xm
     target = stationary.tail_constant(model.gamma, cfg.lam, delta)  # before any draw
-    pools = _run_pools(replace(cfg, engine="path", collapse=Uniform01()))
+    pools = _run_pools(replace(cfg, engine="path"))
     rows = simulate.tail_table(functools.reduce(simulate.SamplePool.merge, pools), delta, xm)
     return [write_csv(os.path.join(cfg.out_dir, "tail.csv"),
                       ("threshold", "exceedances", "samples", "ratio", "lo", "hi",

@@ -12,6 +12,12 @@ Three independent sampling routes back the analytic layer:
 
 All routes feed a mergeable `SamplePool`, so replications can run
 independently and be combined in any order.
+
+Each engine call spawns two children of its generator before its first
+draw, in this order: the reservoir keys' and the lane noise's (the Euler
+normals). The generator itself draws only events and chain inputs, in
+the order of stepping one event at a time, so neither when a batch pools
+its levels nor how a lane splits its normals moves a draw.
 """
 
 from __future__ import annotations
@@ -331,6 +337,8 @@ def has_exact_wl(model: LevyModel) -> bool:
 
 
 def _exact_wl(model: LevyModel, lam: float) -> Callable:
+    if not 0 < lam < math.inf:
+        raise DomainError("need finite lam > 0")
     if not has_exact_wl(model):
         raise ModelError("no exact (W, L) sampler for this model; use the path engine")
     if isinstance(model, BrownianDrift):
@@ -403,6 +411,7 @@ def embedded_chain_run(model: LevyModel, lam: float, collapse: CollapseLaw,
     if n_burn < 0 or n_samples <= 0:
         raise DomainError("need n_burn >= 0 and n_samples > 0")
     draw = _exact_wl(model, lam)
+    keys, _ = rng.spawn(2)
     pool = SamplePool(alphas, thresholds, reservoir_cap)
     z = 0.0
     total = n_burn + n_samples
@@ -416,7 +425,7 @@ def embedded_chain_run(model: LevyModel, lam: float, collapse: CollapseLaw,
         keep = n_burn - done  # first index to keep within this block
         done += m
         if keep < m:
-            pool.add(levels[max(keep, 0):], rng)
+            pool.add(levels[max(keep, 0):], keys)
     return pool
 
 
@@ -439,6 +448,7 @@ def loynes_run(model: LevyModel, lam: float, collapse: CollapseLaw,
     if n_samples <= 0:
         raise DomainError("need n_samples > 0")
     draw = _exact_wl(model, lam)
+    keys, _ = rng.spawn(2)
     pool = SamplePool(alphas, thresholds, reservoir_cap)
     for off in range(0, n_samples, _BLOCK):
         m = min(_BLOCK, n_samples - off)
@@ -460,7 +470,7 @@ def loynes_run(model: LevyModel, lam: float, collapse: CollapseLaw,
             tail += (v * u - y) * pi
             np.maximum(best, tail, out=best)
             pi *= u
-        pool.add(v0 + out, rng)
+        pool.add(v0 + out, keys)
     return pool
 
 
@@ -495,15 +505,13 @@ class _EventBatches:
 
     Each event is a bare map z -> max(a z + b, b) of the level just before
     it: a jump B is (1, B, B) and a collapse U is (U, 0, 0). What moves the
-    level between events is the caller's (see `_Exact` and `_Euler`). The
-    draws come from the same streams, in the same calls, sizes and order as
-    taking one event at a time: a batch holds every event whose draws
-    already sit in the prefetched blocks (at most _BLOCK events), and only
-    its front event refills blocks, in the order pick, size, jump clock or
-    multiplier, collapse clock. A batch also ends right after each
-    _BLOCK-th collapse, where the multiplier block runs out, so a caller
-    flushing its reservoir after a batch draws the keys where stepping one
-    event at a time would.
+    level between events is the caller's (see `_Exact` and `_Euler`), and
+    so are the reservoir keys; both draw from children of the generator.
+    The events come from the same streams, in the same calls, sizes and
+    order as taking one event at a time: a batch holds every event whose
+    draws already sit in the prefetched blocks (at most _BLOCK events), and
+    only its first event refills blocks, in the order pick, size, jump
+    clock or multiplier, collapse clock.
     """
 
     def __init__(self, model, lam, collapse, rng):
@@ -528,7 +536,7 @@ class _EventBatches:
         return np.minimum(np.searchsorted(self._cuts, p, side="right"),
                           len(self._sizes) - 1)
 
-    def _fill_front(self) -> None:
+    def _refill(self) -> None:
         if self.next_jmp <= self.next_col:
             pick = self._pick
             if pick is None:
@@ -541,21 +549,18 @@ class _EventBatches:
             self._umult.fill()
             self._ecol.fill()
 
-    def batches(self, horizon: Optional[float], n_collapses: Optional[int],
-                front: Callable[[float], None]):
+    def batches(self, horizon: Optional[float], n_collapses: Optional[int]):
         """Yield (dt, col, a, b) for each batch of events before horizon and
         up to the n_collapses-th collapse: dt[k] is the time since the
         previous event, col marks the collapses and (a[k], b[k], b[k]) is
-        event k's map. front is called with the front event's dt before its
-        blocks are refilled, for a caller that draws between events.
+        event k's map.
         """
         stop = math.inf if horizon is None else horizon
         last = math.inf if n_collapses is None else n_collapses
         ecol, ejmp, pick, sizes, umult = (self._ecol, self._ejmp, self._pick,
                                           self._sizes, self._umult)
         while self.n_collapses < last and min(self.next_col, self.next_jmp) < stop:
-            front(min(self.next_col, self.next_jmp) - self.t)
-            self._fill_front()
+            self._refill()
             # jump k needs pick k, its part's next size and jump clock k; the
             # first jump short of one is the first that cannot run
             nj, part = 0, np.zeros(0, dtype=np.intp)
@@ -574,7 +579,7 @@ class _EventBatches:
                 jt = np.cumsum(np.concatenate(([self.next_jmp],
                                                ejmp.buf[ejmp.i:ejmp.i + nj])))
             # collapse k needs multiplier k and collapse clock k; a batch stops
-            # right after the run's last collapse and after a block's last
+            # right after the run's last collapse
             nc, c_stop = 0, self.next_col
             ct = np.array([self.next_col])
             if ecol is not None:
@@ -582,8 +587,7 @@ class _EventBatches:
                 nc = min(ecol.left(), umult.left(), cut)
                 ct = np.cumsum(np.concatenate(([self.next_col],
                                                ecol.buf[ecol.i:ecol.i + nc])))
-                done = nc == cut or 0 < nc == umult.left()
-                c_stop = ct[nc - 1] if done else ct[nc]
+                c_stop = ct[nc - 1] if nc == cut else ct[nc]
             # merge, jumps first at ties
             j_stop = jt[nj]
             nj = int(min(np.searchsorted(jt[:nj], c_stop, side="right"),
@@ -635,9 +639,6 @@ class _Exact:
         self.drift, self.pool, self.reg = model.drift_rate(), pool, 0.0
         self.z = [float(v) for v in z]
 
-    def front(self, dt: float) -> None:
-        """Nothing runs ahead of a batch: its segments are exact."""
-
     def run(self, dt, a, b):
         """Segment k of length dt[k], then the event map (a[k], b[k], b[k]),
         for each k. Returns per lane the levels just before and just after
@@ -675,38 +676,29 @@ class _Euler:
     a segment cut between rows or chunks carries only its level. Segments
     and the event maps between them are folded per lane in chunks of at
     most _STEP_CAP cells, which bounds the memory whatever a segment's
-    length; each chunk's normals are one draw, in step order. `front` runs
-    the segment before a batch's front event, ahead of its refills. With a
-    pool (one lane), the lane's time totals and pushes at zero are kept too.
+    length; each chunk's normals are one draw, in step order, from the
+    lanes' own generator. With a pool (one lane), the lane's time totals
+    and pushes at zero are kept too.
     """
 
     def __init__(self, model, step_h, rng, z, pool=None):
         self.h, self.rng, self.pool, self.reg = float(step_h), rng, pool, 0.0
         self.drift, self.sig = model.drift_rate(), math.sqrt(model.sigma2_total())
         self.z = [float(v) for v in z]
-        self._ran_front = False
         # work space of one chunk, reused: fresh arrays this size cost page faults
         self._cap = max(1, _STEP_CAP // _ROW)
         self._x, self._s = np.empty(self._cap * _ROW), np.empty((self._cap, _ROW))
         self._cells = np.ones((self._cap, _ROW), dtype=bool)  # all True between chunks
 
-    def front(self, dt: float) -> None:
-        """Run the segment of length dt now; the next `run` leaves it out."""
-        self.run(np.array([dt]), np.ones(1), np.zeros(1))
-        self._ran_front = True
-
     def run(self, dt, a, b):
         """Segment k of length dt[k], then the event map (a[k], b[k], b[k]),
-        for each k; segment 0 is left out when `front` ran it. Returns per
-        lane the levels just before and just after each event."""
+        for each k. Returns per lane the levels just before and just after
+        each event."""
         h = self.h
         n = np.maximum(1.0, np.ceil(dt / h - 1e-9)).astype(np.int64)
         h_last = dt - h * (n - 1)
-        skip, self._ran_front = self._ran_front, False
-        if skip:
-            n[0] = 0
         if self.pool is not None:
-            self.pool.time_total += float(dt[int(skip):].sum())
+            self.pool.time_total += float(dt.sum())
         rows = -(-n // _ROW)
         ends = np.cumsum(rows)  # rows up to the end of each segment
         pre, post = ([np.empty(dt.size) for _ in self.z] for _ in range(2))
@@ -763,14 +755,18 @@ class _Euler:
 
 
 def _lanes(model, step_h, rng, z, pool=None):
-    """The level mover for lanes started at z: exact for a model without a
-    Brownian part, Euler-discretized with step step_h for one with it."""
+    """The reservoir keys' generator, and the level mover for lanes started
+    at z: exact for a model without a Brownian part, Euler-discretized with
+    step step_h for one with it. Both generators are children of rng,
+    spawned once step_h is checked: the keys', then the lane noise's."""
     brownian = model.sigma2_total() > 0.0
     if brownian and step_h is None:
         raise ConfigError("step_h is required when the model has a Brownian part")
     if step_h is not None and not 0 < step_h < math.inf:
         raise ConfigError("step_h must be > 0 and finite")
-    return _Euler(model, step_h, rng, z, pool) if brownian else _Exact(model, z, pool)
+    keys, noise = rng.spawn(2)
+    return keys, (_Euler(model, step_h, noise, z, pool) if brownian
+                  else _Exact(model, z, pool))
 
 
 def path_simulate(model: LevyModel, lam: float, collapse: CollapseLaw, *,
@@ -789,10 +785,11 @@ def path_simulate(model: LevyModel, lam: float, collapse: CollapseLaw, *,
     the drift exactly, clamped at zero, for a model without a Brownian
     part, or Euler-discretized with step step_h and reflected through the
     discrete running-infimum map with one. Events are read in batches that
-    draw the same numbers as stepping one event at a time. The pool
-    collects the level immediately before each collapse plus
-    occupation-time totals; pass return_final=True to also get the
-    terminal PathState.
+    draw the same numbers as stepping one event at a time; the Euler
+    normals and the reservoir keys come from children of rng. The pool
+    collects the level immediately before each collapse, one batch at a
+    time, plus occupation-time totals; pass return_final=True to also get
+    the terminal PathState.
     """
     if (horizon is None) == (n_collapses is None):
         raise ConfigError("give exactly one of horizon or n_collapses")
@@ -806,20 +803,14 @@ def path_simulate(model: LevyModel, lam: float, collapse: CollapseLaw, *,
         n_collapses = int(n_collapses)
 
     pool = SamplePool(alphas, thresholds, reservoir_cap)
-    lanes = _lanes(model, step_h, rng, [z0], pool)
+    keys, lanes = _lanes(model, step_h, rng, [z0], pool)
     events = _EventBatches(model, lam, collapse, rng)
-    held: list = []  # pre-collapse levels not yet pooled
-    for dt, col, a, b in events.batches(horizon, n_collapses, lanes.front):
+    for dt, col, a, b in events.batches(horizon, n_collapses):
         (pre,), _ = lanes.run(dt, a, b)
-        held.append(pre[col])
-        if events.n_collapses % _BLOCK == 0:  # a batch ends at each such collapse
-            pool.add(np.concatenate(held), rng)
-            held.clear()
+        pool.add(pre[col], keys)
     t = events.t if horizon is None else horizon
     if t > events.t:  # the last segment, closed by the identity map
         lanes.run(np.array([t - events.t]), np.ones(1), np.zeros(1))
-    if held:
-        pool.add(np.concatenate(held), rng)
     if return_final:
         return pool, PathState(t, lanes.z[0], lanes.reg, events.next_col,
                                events.next_jmp, events.n_collapses)
@@ -846,9 +837,9 @@ def coupling_check(model: LevyModel, lam: float, collapse: CollapseLaw,
     if n_collapses <= 0 or not 0 < lam < math.inf:
         raise DomainError("need n_collapses > 0 and finite lam > 0")
     gap0, pi, violation, min_gap = y0 - x0, 1.0, 0.0, y0 - x0
-    lanes = _lanes(model, step_h, rng, [x0, y0])
+    _, lanes = _lanes(model, step_h, rng, [x0, y0])
     events = _EventBatches(model, lam, collapse, rng)
-    for dt, col, a, b in events.batches(None, n_collapses, lanes.front):
+    for dt, col, a, b in events.batches(None, n_collapses):
         _, (lx, ly) = lanes.run(dt, a, b)
         gap = ly - lx
         pis = np.cumprod(np.concatenate(([pi], a[col])))

@@ -582,11 +582,24 @@ master_seed = 20260815
         assert float(r[4]) <= float(r[3]) <= float(r[5])
 
 
-def test_tail_requires_pareto_model(tmp_path):
+def test_tail_requires_pareto_model(tmp_path, monkeypatch, capsys):
     from levy_collapse.runner import run_tail
     cfg = parse_config(MM1_TEXT + f"thresholds = 2 5\nout = {tmp_path}\n")
     with pytest.raises(ValidationError, match="pareto"):
         run_tail(cfg)
+    # the target is the uniform law's tail constant, so another collapse law
+    # is refused before anything is drawn
+    calls = []
+    monkeypatch.setattr(simulate, "path_simulate", lambda *a, **k: calls.append(a))
+    text = (MM1_TEXT.replace("model.jumps = exp\nmodel.mu = 2\n",
+                             "model.jumps = pareto\nmodel.delta = 1.5\nmodel.xm = 0.5\n")
+            .replace("collapse = uniform\n", "collapse = beta\ncollapse.theta = 3\n"))
+    with pytest.raises(ValidationError, match="collapse = uniform"):
+        run_tail(parse_config(text + f"thresholds = 2 5\nout = {tmp_path}\n"))
+    path = write_cfg(tmp_path, text + "thresholds = 2 5\n")
+    assert main(["tail", "--config", path, "--out", str(tmp_path / "t")]) == 2
+    assert "collapse = uniform" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_tail_refuses_an_index_outside_one_two_before_it_simulates(tmp_path, monkeypatch):

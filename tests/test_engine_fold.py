@@ -1,20 +1,23 @@
 """The engines against one-lane, one-event-at-a-time references.
 
-The embedded chain, the exact path and the coupling check fold their
-events in array batches of increasing maps z -> max(a z + b, c), but must
-draw exactly the same random numbers as stepping one event at a time. The
-references below are those one-at-a-time loops; each comparison runs both
-from the same seed and requires the same generator calls (method,
-arguments, order), identical counts, zeros, exceedances and reservoir
-keys, and levels, pool sums, time totals and terminal state equal up to
-rounding (1e-10 relative).
+Every engine spawns two children of its generator before its first draw:
+the reservoir keys' and the lane noise's. The embedded chain, the exact
+path and the coupling check fold their events in array batches of
+increasing maps z -> max(a z + b, c), but must draw exactly the same
+random numbers from the generator as stepping one event at a time. The
+references below are those one-at-a-time loops, spawning the same
+children; each comparison runs both from the same seed and requires the
+same generator calls (method, arguments, order, the spawn included), the
+same values from each child however its draws were split into calls,
+identical counts, zeros, exceedances and reservoir keys, and levels, pool
+sums, time totals and terminal state equal up to rounding (1e-10
+relative). The path references pool their levels in one call at the end:
+keys drawn in one call or in several leave the same reservoir.
 
 The Euler engine folds its segments too: each row of Euler steps and
-each event is such a map. Batching merges its normal draws into fewer
-calls, so its comparisons require the same values drawn per distribution
-and the same final generator state instead of the same call list, and
-otherwise the same as above. Its reference steps one event at a time
-and draws one segment's normals per call.
+each event is such a map. Its normals come from the lane child in step
+order; batching merges them into fewer calls, and its reference steps one
+event at a time and draws one segment's normals per call.
 
 The backward representation draws its rounds only for the lanes still
 above the truncation level. Its reference keeps a list of live lanes and
@@ -66,13 +69,20 @@ RTOL = 1e-10
 
 
 class _Recorder:
-    """Generator proxy that logs every draw call with its arguments, and
-    the values drawn per method."""
+    """Generator proxy that logs every draw call with its arguments, the
+    values drawn per method, and the children it spawns, as recorders."""
 
     def __init__(self, rng):
         self.rng = rng
         self.calls = []
         self.values = {}
+        self.children = []
+
+    def spawn(self, n):
+        self.calls.append(("spawn", repr((n,)), repr({})))
+        kids = [_Recorder(c) for c in self.rng.spawn(n)]
+        self.children += kids
+        return kids
 
     def __getattr__(self, name):
         draw = getattr(self.rng, name)
@@ -91,8 +101,11 @@ def recorders(seed, rep):
 
 
 def assert_same_draws(new, ref):
+    """The same calls on the generator, and the same values from each child."""
     assert new.calls == ref.calls
     assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+    for got, want in zip(new.children, ref.children, strict=True):
+        assert_same_values(got, want)
 
 
 def assert_same_values(new, ref):
@@ -145,6 +158,7 @@ def _ref_streams(model, lam, collapse, rng):
 
 def ref_embedded(model, lam, collapse, n_burn, n_samples, rng, **kw):
     draw = _exact_wl(model, lam)
+    keys, _ = rng.spawn(2)
     pool = SamplePool(kw.get("alphas", ()), kw.get("thresholds", ()),
                       kw.get("reservoir_cap", 100_000))
     z, total, done = 0.0, n_burn + n_samples, 0
@@ -160,7 +174,7 @@ def ref_embedded(model, lam, collapse, n_burn, n_samples, rng, **kw):
         keep = n_burn - done
         done += m
         if keep < m:
-            pool.add(np.asarray(out[max(keep, 0):]), rng)
+            pool.add(np.asarray(out[max(keep, 0):]), keys)
     return pool
 
 
@@ -168,6 +182,7 @@ def ref_loynes(model, lam, collapse, n_samples, rng, eps_trunc, **kw):
     """Backward representation on a list of live lanes; also returns the
     round sizes of each block."""
     draw = _exact_wl(model, lam)
+    keys, _ = rng.spawn(2)
     pool = SamplePool(kw.get("alphas", ()), kw.get("thresholds", ()),
                       kw.get("reservoir_cap", 100_000))
     rounds = []
@@ -193,7 +208,7 @@ def ref_loynes(model, lam, collapse, n_samples, rng, eps_trunc, **kw):
                 else:
                     out[i] = best
             live = nxt
-        pool.add(v0 + np.asarray(out), rng)
+        pool.add(v0 + np.asarray(out), keys)
     return pool, rounds
 
 
@@ -202,6 +217,7 @@ def ref_path(model, lam, collapse, *, rng, horizon=None, n_collapses=None,
     drift = model.drift_rate()
     pool = SamplePool(kw.get("alphas", ()), kw.get("thresholds", ()),
                       kw.get("reservoir_cap", 100_000))
+    keys, _ = rng.spawn(2)
     ecol, ejmp, jump, umult = _ref_streams(model, lam, collapse, rng)
 
     def advance(z, dt):
@@ -236,18 +252,15 @@ def ref_path(model, lam, collapse, *, rng, horizon=None, n_collapses=None,
             z *= umult.take()
             ncol += 1
             next_col = t + ecol.take()
-            if len(buf) >= _BLOCK:
-                pool.add(np.asarray(buf), rng)
-                buf.clear()
             if n_collapses is not None and ncol >= n_collapses:
                 break
-    if buf:
-        pool.add(np.asarray(buf), rng)
+    pool.add(np.asarray(buf), keys)
     return pool, PathState(t, z, reg, next_col, next_jmp, ncol)
 
 
 def ref_coupling(model, lam, collapse, x0, y0, n_collapses, rng):
     drift = model.drift_rate()
+    rng.spawn(2)
     ecol, ejmp, jump, umult = _ref_streams(model, lam, collapse, rng)
     t, zx, zy, gap0, pi, ncol = 0.0, x0, y0, y0 - x0, 1.0, 0
     violation, min_gap = 0.0, y0 - x0
@@ -272,11 +285,12 @@ def ref_coupling(model, lam, collapse, x0, y0, n_collapses, rng):
     return violation, min_gap
 
 
-def ref_euler(model, lam, collapse, rng, z, step_h, visit, *, horizon=None,
+def ref_euler(model, lam, collapse, rng, noise, z, step_h, visit, *, horizon=None,
               n_collapses=None, pool=None):
     """Euler event loop for lanes z driven by the same noise.
 
-    Between events every lane takes the same Euler increments and is
+    Events draw from rng and the Euler normals from noise. Between events
+    every lane takes the same Euler increments and is
     reflected through the discrete running-infimum map; pool, if given,
     runs with a single lane and gains its time totals. After each event
     visit(pre, u, z) gets the levels just before it, the collapse
@@ -292,7 +306,7 @@ def ref_euler(model, lam, collapse, rng, z, step_h, visit, *, horizon=None,
     def advance(z, dt):
         n = max(1, math.ceil(dt / step_h - 1e-9))
         h_last = dt - step_h * (n - 1)
-        xi = rng.standard_normal(n)
+        xi = noise.standard_normal(n)
         incs = full_drift + full_sd * xi
         incs[-1] = drift * h_last + sig * math.sqrt(h_last) * float(xi[-1])
         s = np.cumsum(incs)
@@ -344,20 +358,17 @@ def ref_euler_path(model, lam, collapse, *, rng, step_h, horizon=None,
                    n_collapses=None, z0=0.0, **kw):
     pool = SamplePool(kw.get("alphas", ()), kw.get("thresholds", ()),
                       kw.get("reservoir_cap", 100_000))
+    keys, noise = rng.spawn(2)
     buf = []
 
     def visit(pre, u, z):
         if u is not None:
             buf.append(pre[0])
-            if len(buf) >= _BLOCK:
-                pool.add(np.asarray(buf), rng)
-                buf.clear()
 
     (z,), t, reg, next_col, next_jmp, ncol = ref_euler(
-        model, lam, collapse, rng, [float(z0)], step_h, visit, horizon=horizon,
+        model, lam, collapse, rng, noise, [float(z0)], step_h, visit, horizon=horizon,
         n_collapses=n_collapses, pool=pool)
-    if buf:
-        pool.add(np.asarray(buf), rng)
+    pool.add(np.asarray(buf), keys)
     return pool, PathState(t, z, reg, next_col, next_jmp, ncol)
 
 
@@ -372,7 +383,8 @@ def ref_euler_coupling(model, lam, collapse, x0, y0, n_collapses, rng, step_h):
             violation = max(violation, gap - gap0 * pi)
         min_gap = min(min_gap, gap)
 
-    ref_euler(model, lam, collapse, rng, [float(x0), float(y0)], step_h, visit,
+    _, noise = rng.spawn(2)
+    ref_euler(model, lam, collapse, rng, noise, [float(x0), float(y0)], step_h, visit,
               n_collapses=n_collapses)
     return violation, min_gap
 
@@ -454,7 +466,7 @@ def test_loynes_live_lanes_draw_what_the_lane_loop_draws(model, collapse, n, eps
     (ERLANG, Beta1(4.0), 100_000),
     (RARE, UNI, 70_000),          # collapse blocks refill between jumps
     (BUSY, UNI, 20_000),          # jump blocks refill between collapses
-    (MM1, UNI, _BLOCK),           # the run ends on a reservoir flush
+    (MM1, UNI, _BLOCK),           # the run ends as a multiplier block runs out
 ])
 def test_path_fold_draws_what_the_loop_draws(model, collapse, n):
     r_new, r_ref = recorders(52, 2)
@@ -503,7 +515,7 @@ def test_coupling_fold_draws_what_the_loop_draws(model, collapse, x0, y0, n):
 
 @pytest.mark.parametrize("model,collapse,n,h", [
     (BM, UNI, _BLOCK + 4000, 0.5),          # coarse: a few steps per segment
-    (BM_SUM2, Beta1(4.0), _BLOCK + 4000, 0.5),  # jumps after the reservoir flush
+    (BM_SUM2, Beta1(4.0), _BLOCK + 4000, 0.5),  # past a multiplier block
     (BM_SUM2, UNI, 3000, 0.01),
 ])
 def test_euler_fold_draws_what_the_loop_draws(model, collapse, n, h):
@@ -512,7 +524,7 @@ def test_euler_fold_draws_what_the_loop_draws(model, collapse, n, h):
                                rng=r_new, return_final=True, **POOL_KW)
     ref, s_ref = ref_euler_path(model, 1.0, collapse, n_collapses=n, step_h=h,
                                 rng=r_ref, **POOL_KW)
-    assert_same_values(r_new, r_ref)
+    assert_same_draws(r_new, r_ref)
     assert_same_pool(new, ref)
     assert_same_state(s_new, s_ref)
 
@@ -528,20 +540,20 @@ def test_euler_fold_horizon_mode(model, lam, horizon, z0, h):
                                rng=r_new, return_final=True, **POOL_KW)
     ref, s_ref = ref_euler_path(model, lam, UNI, horizon=horizon, z0=z0, step_h=h,
                                 rng=r_ref, **POOL_KW)
-    assert_same_values(r_new, r_ref)
+    assert_same_draws(r_new, r_ref)
     assert_same_pool(new, ref)
     assert_same_state(s_new, s_ref)
 
 
 @pytest.mark.parametrize("model,collapse,x0,y0,n,h", [
     (BM_SUM2, UNI, 1.0, 6.0, 3000, 0.01),
-    (BM_LOW, Beta1(9.0), 0.0, 4.0, 8, 0.01),  # min_gap 0.86
+    (BM_LOW, Beta1(9.0), 0.0, 4.0, 8, 0.01),  # min_gap 1.29
 ])
 def test_euler_coupling_fold_draws_what_the_loop_draws(model, collapse, x0, y0, n, h):
     r_new, r_ref = recorders(59, 12)
     v_new, g_new = coupling_check(model, 1.0, collapse, x0, y0, n, r_new, step_h=h)
     v_ref, g_ref = ref_euler_coupling(model, 1.0, collapse, x0, y0, n, r_ref, h)
-    assert_same_values(r_new, r_ref)
+    assert_same_draws(r_new, r_ref)
     assert abs(v_new - v_ref) <= RTOL * y0
     assert abs(g_new - g_ref) <= RTOL * y0
     assert g_new >= 0.0
@@ -556,7 +568,7 @@ def test_euler_segments_split_across_chunks(monkeypatch):
                                rng=r_new, return_final=True, **POOL_KW)
     ref, s_ref = ref_euler_path(BM, 1.0, UNI, n_collapses=300, step_h=1e-3,
                                 rng=r_ref, **POOL_KW)
-    assert_same_values(r_new, r_ref)
+    assert_same_draws(r_new, r_ref)
     assert_same_pool(new, ref)
     assert_same_state(s_new, s_ref)
     r_new, r_ref = recorders(60, 11)
@@ -564,16 +576,16 @@ def test_euler_segments_split_across_chunks(monkeypatch):
                                rng=r_new, return_final=True, **POOL_KW)
     ref, s_ref = ref_euler_path(BM_SUM2, 0.7, UNI, horizon=40.0, z0=2.5, step_h=1e-3,
                                 rng=r_ref, **POOL_KW)
-    assert_same_values(r_new, r_ref)
+    assert_same_draws(r_new, r_ref)
     assert_same_pool(new, ref)
     assert_same_state(s_new, s_ref)
     r_new, r_ref = recorders(60, 9)
-    v_new, g_new = coupling_check(BM_LOW, 1.0, Beta1(9.0), 0.0, 4.0, 8, r_new, step_h=1e-3)
-    v_ref, g_ref = ref_euler_coupling(BM_LOW, 1.0, Beta1(9.0), 0.0, 4.0, 8, r_ref, 1e-3)
-    assert_same_values(r_new, r_ref)
-    assert abs(v_new - v_ref) <= RTOL * 4.0
-    assert abs(g_new - g_ref) <= RTOL * 4.0
-    assert g_ref > 0.1
+    v_new, g_new = coupling_check(BM_LOW, 1.0, Beta1(9.0), 0.0, 6.0, 8, r_new, step_h=1e-3)
+    v_ref, g_ref = ref_euler_coupling(BM_LOW, 1.0, Beta1(9.0), 0.0, 6.0, 8, r_ref, 1e-3)
+    assert_same_draws(r_new, r_ref)
+    assert abs(v_new - v_ref) <= RTOL * 6.0
+    assert abs(g_new - g_ref) <= RTOL * 6.0
+    assert g_ref > 0.1  # min_gap 0.32: the lanes stay apart
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,19 @@ INVALID = {
     "CppMinusDrift(d=1.0, gamma=0.0, jumps=Exponential(mu=2.0))":
         lambda: CppMinusDrift(1.0, 0.0, Exponential(2.0)),
     "Beta1(theta=0.0)": lambda: Beta1(0.0),
+    # non-finite parameters, which the config refuses before a model is built
+    "Exponential(mu=inf)": lambda: Exponential(math.inf),
+    "Erlang(shape=2, rate=inf)": lambda: Erlang(2, math.inf),
+    "Pareto(delta=inf, xm=1)": lambda: Pareto(math.inf, 1),
+    "Pareto(delta=1.5, xm=nan)": lambda: Pareto(1.5, math.nan),
+    "Deterministic(size=inf)": lambda: Deterministic(math.inf),
+    "BrownianDrift(c=0, sigma2=inf)": lambda: BrownianDrift(0, math.inf),
+    "BrownianDrift(c=nan, sigma2=1.0)": lambda: BrownianDrift(math.nan, 1.0),
+    "CppMinusDrift(d=inf, gamma=1.0, jumps=Exponential(mu=2.0))":
+        lambda: CppMinusDrift(math.inf, 1.0, Exponential(2.0)),
+    "CppMinusDrift(d=1.0, gamma=nan, jumps=Exponential(mu=2.0))":
+        lambda: CppMinusDrift(1.0, math.nan, Exponential(2.0)),
+    "Beta1(theta=inf)": lambda: Beta1(math.inf),
 }
 
 

@@ -323,6 +323,12 @@ def test_engines_refuse_non_finite_inputs_before_any_draw():
     # nan horizon comes first, so a missing check fails instead of hanging
     rng = replication_rng(1, 0)
     state = rng.bit_generator.state
+    for model in (BM, MM1):  # a nan or inf lam would reach the samplers' scales
+        for lam in (math.nan, math.inf, 0.0):
+            with pytest.raises(DomainError, match="lam"):
+                embedded_chain_run(model, lam, UNI, 0, 10, rng)
+            with pytest.raises(DomainError, match="lam"):
+                loynes_run(model, lam, UNI, 10, rng)
     for kw in ({"horizon": math.nan}, {"horizon": math.inf},
                {"n_collapses": 5, "z0": math.nan}, {"n_collapses": 5, "z0": math.inf},
                {"n_collapses": 5, "step_h": math.nan}):
@@ -335,6 +341,7 @@ def test_engines_refuse_non_finite_inputs_before_any_draw():
         with pytest.raises(DomainError):
             SamplePool(*grids)
     assert rng.bit_generator.state == state
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0  # nor spawn
 
 
 def test_path_engine_agrees_with_embedded_chain():
@@ -423,6 +430,16 @@ def test_reservoir_keeps_the_smallest_keys_in_key_order():
     assert np.array_equal(merged.ecdf_values(), np.sort(np.concatenate(vals)[order]))
     assert np.array_equal(merged.res_vals, np.concatenate(vals)[order])
     assert np.array_equal(merged.res_keys, np.concatenate(keys)[order])
+    # so levels added in one call, or split over several, keep the same
+    # reservoir when their keys come from equal-seeded generators
+    z = np.random.default_rng(13).exponential(1.0, 2000)
+    whole, split = SamplePool((), (), cap=cap), SamplePool((), (), cap=cap)
+    whole.add(z, np.random.default_rng(14))
+    rng = np.random.default_rng(14)
+    for part in np.split(z, [0, 1, 250, 251, 1300]):  # an empty part draws no key
+        split.add(part, rng)
+    assert np.array_equal(split.res_keys, whole.res_keys)
+    assert np.array_equal(split.res_vals, whole.res_vals)
 
 
 def test_pool_merge_requires_matching_grids():
